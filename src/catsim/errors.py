@@ -50,7 +50,11 @@ class SchemaError(CatsimError):
 
 
 class SingularLikelihoodError(CatsimError):
-    """Some records have zero probability under the current state."""
+    """Some records have zero probability under the current state.
+
+    `record_indices` are dataset record indices, or histogram-bin numbers
+    when the likelihood is binned (the message says which).
+    """
 
     def __init__(self, message: str, record_indices):
         super().__init__(message)

@@ -334,8 +334,8 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     return 0.5 * float(np.sum(np.abs(vals)))
 
 
-def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
-    """Matrix W[n, i] = <n|q_i, theta> = psi_n(q_i)·e^{i n theta}.
+def hermite_functions(cutoff: int, q) -> np.ndarray:
+    """Real matrix psi[n, i] = psi_n(q_i), the harmonic-oscillator wavefunctions.
 
     Evaluated with the normalized upward Hermite recurrence
       psi_{n+1}(q) = sqrt(2/(n+1))·q·psi_n(q) − sqrt(n/(n+1))·psi_{n-1}(q),
@@ -350,6 +350,12 @@ def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
         psi[1] = math.sqrt(2.0) * q * psi[0]
     for n in range(1, cutoff):
         psi[n + 1] = math.sqrt(2.0 / (n + 1)) * q * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    return psi
+
+
+def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
+    """Matrix W[n, i] = <n|q_i, theta> = psi_n(q_i)·e^{i n theta}."""
+    psi = hermite_functions(cutoff, q)
     if theta == 0.0:
         return psi.astype(complex)
     phases = np.exp(1j * np.arange(cutoff + 1) * theta)

@@ -218,6 +218,7 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
     stays honest by consuming nothing but the sampled records.
     """
     out = Path(out)
+    _require(out, "reconstruct", "sample", cfg)
     ds_dir = out / "datasets"
     if not ds_dir.exists() or not any(ds_dir.glob("*.csv")):
         raise MissingInputError("sample", f"no dataset CSVs under {ds_dir}")

@@ -59,6 +59,8 @@ class HomodyneDataset:
     def validate(self) -> None:
         if self.theta_deg.shape != self.q.shape or self.theta_deg.ndim != 1:
             raise SchemaError("theta and q must be one-dimensional arrays of equal length")
+        if not np.all(np.isfinite(self.theta_deg)):
+            raise SchemaError("phases must be finite")
         if self.q.size and not np.all(np.isfinite(self.q)):
             raise SchemaError("quadrature values must be finite")
         phases = self.meta.get("phases_deg")

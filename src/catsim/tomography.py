@@ -6,6 +6,15 @@ with R(rho) = sum_j Pi_j / Tr(Pi_j rho), started from the maximally mixed
 state. Pi_j is the rank-1 projector onto the truncated quadrature
 eigenvector of record j. No efficiency or loss compensation of any kind is
 applied.
+
+The kernel works in real arithmetic, one phase at a time. The quadrature
+eigenvector is <n|q,theta> = psi_n(q)·u_n with psi_n real and
+u = e^{i n theta} shared by every record of a phase, so with U = diag(u)
+and Psi the real (dim x records) table of psi_n(q_j) at that phase:
+  p_j = psi_j^T · Re(U^† rho U) · psi_j,
+  R   = sum_theta U · (Psi diag(w/p) Psi^T) · U^†,
+each one real matrix product per phase. The tables are built once per
+dataset; w is 1 per record, or the bin count when records are histogrammed.
 """
 
 from __future__ import annotations
@@ -23,7 +32,13 @@ from .errors import (
     NonConvergenceWarning,
     SingularLikelihoodError,
 )
-from .fock import DensityMatrix, HilbertConfig, mean_photon, quadrature_basis
+from .fock import (
+    DensityMatrix,
+    HilbertConfig,
+    hermite_functions,
+    mean_photon,
+    quadrature_basis,
+)
 from .phasespace import coherence_peak, origin_parity
 from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
@@ -97,51 +112,89 @@ def _record_scale(dataset: HomodyneDataset) -> float:
     return float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
 
 
-def _measurement_matrix(
+@dataclass(frozen=True)
+class _PhaseTables:
+    """Real measurement tables, one per distinct phase.
+
+    <n|q_j,theta> = psi_n(q_j)·u_n with u = e^{i n theta}, so every record
+    of one phase shares u and only the real psi depends on the record.
+    `weights` and `index` run phase by phase, in the column order of `psi`.
+    """
+
+    u: list[np.ndarray]  # e^{i n theta}, shape (dim,), per phase
+    psi: list[np.ndarray]  # real psi_n(q_j), shape (dim, rows), per phase
+    weights: np.ndarray  # 1 per record, or histogram counts per bin
+    index: np.ndarray  # dataset record index per column, or the bin number
+    unit: str  # what `index` counts, for error messages
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        """p_j = psi_j^T Re(U^† rho U) psi_j, one real GEMM per phase."""
+        return np.concatenate([
+            np.einsum("nj,nj->j", (u.conj()[:, None] * rho * u).real @ psi, psi)
+            for u, psi in zip(self.u, self.psi)
+        ])
+
+    def r_operator(self, p: np.ndarray) -> np.ndarray:
+        """R = sum_theta U (Psi diag(w/p) Psi^T) U^†, one real GEMM per phase."""
+        c = self.weights / p
+        r = np.zeros((self.u[0].size,) * 2, dtype=complex)
+        start = 0
+        for u, psi in zip(self.u, self.psi):
+            stop = start + psi.shape[1]
+            r += ((psi * c[start:stop]) @ psi.T) * np.outer(u, u.conj())
+            start = stop
+        return r
+
+    def log_likelihood(self, rho: np.ndarray, when: str) -> tuple[np.ndarray, float]:
+        """Probabilities and sum_j w_j ln p_j; a vanishing p_j is an error."""
+        p = self.probabilities(rho)
+        bad = np.sort(self.index[p <= _PROB_FLOOR])
+        if bad.size:
+            raise SingularLikelihoodError(
+                f"{bad.size} {self.unit} have vanishing probability {when} "
+                f"(first offenders: {bad[:10].tolist()})",
+                record_indices=bad.tolist(),
+            )
+        return p, float(np.dot(self.weights, np.log(p)))
+
+
+def _phase_tables(
     theta_deg: np.ndarray, q: np.ndarray, cutoff: int, bin_width: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows <n|q_j,theta_j> and per-row weights, optionally histogram-binned."""
-    if bin_width is None:
-        rows = []
-        for t in np.unique(theta_deg):
-            sel = theta_deg == t
-            rows.append(quadrature_basis(cutoff, q[sel], np.deg2rad(t)).T)
-        big = np.vstack(rows)
-        return big, np.ones(big.shape[0])
-    rows, weights = [], []
+) -> _PhaseTables:
+    """Tables for the records, or for histogram bins of width bin_width."""
+    u, psi, weights, index = [], [], [], []
     for t in np.unique(theta_deg):
-        vals = q[theta_deg == t]
-        lo = np.floor(vals.min() / bin_width) - 1
-        hi = np.ceil(vals.max() / bin_width) + 1
-        edges = np.arange(lo, hi + 1) * bin_width
-        counts, _ = np.histogram(vals, bins=edges)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        keep = counts > 0
-        rows.append(quadrature_basis(cutoff, centers[keep], np.deg2rad(t)).T)
-        weights.append(counts[keep].astype(float))
-    return np.vstack(rows), np.concatenate(weights)
-
-
-def _probabilities(w: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    return np.einsum("jn,nm,jm->j", w.conj(), rho, w, optimize=True).real
+        u.append(np.exp(1j * np.arange(cutoff + 1) * np.deg2rad(t)))
+        idx = np.nonzero(theta_deg == t)[0]
+        if bin_width is None:
+            points, counts = q[idx], np.ones(idx.size)
+            index.append(idx)
+        else:
+            vals = q[idx]
+            lo = np.floor(vals.min() / bin_width) - 1
+            hi = np.ceil(vals.max() / bin_width) + 1
+            edges = np.arange(lo, hi + 1) * bin_width
+            hist, _ = np.histogram(vals, bins=edges)
+            keep = hist > 0
+            points = (0.5 * (edges[:-1] + edges[1:]))[keep]
+            counts = hist[keep].astype(float)
+        psi.append(hermite_functions(cutoff, points))
+        weights.append(counts)
+    weights = np.concatenate(weights)
+    if bin_width is None:
+        return _PhaseTables(u, psi, weights, np.concatenate(index), "records")
+    return _PhaseTables(
+        u, psi, weights, np.arange(weights.size),
+        "histogram bins (numbered phase by phase, ascending q)",
+    )
 
 
 def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) -> float:
     """Sum over records of ln Tr(Pi_j rho); order-independent."""
     elements = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
     scale = _record_scale(dataset)
-    w, weights = _measurement_matrix(
-        dataset.theta_deg, dataset.q * scale, elements.shape[0] - 1, None
-    )
-    p = _probabilities(w, elements)
-    bad = np.nonzero(p <= _PROB_FLOOR)[0]
-    if bad.size:
-        raise SingularLikelihoodError(
-            f"{bad.size} records have vanishing probability under the state "
-            f"(first offenders: {bad[:10].tolist()})",
-            record_indices=bad.tolist(),
-        )
-    return float(np.dot(weights, np.log(p)))
+    tables = _phase_tables(dataset.theta_deg, dataset.q * scale, elements.shape[0] - 1, None)
+    return tables.log_likelihood(elements, "under the state")[1]
 
 
 def mle_reconstruct(
@@ -167,24 +220,14 @@ def mle_reconstruct(
         warnings.warn(msg, IdentifiabilityWarning)
         diag_warnings.append(msg)
     scale = _record_scale(dataset)
-    w, weights = _measurement_matrix(
-        dataset.theta_deg, dataset.q * scale, cfg.cutoff, cfg.bin_width
-    )
+    tables = _phase_tables(dataset.theta_deg, dataset.q * scale, cfg.cutoff, cfg.bin_width)
     dim = cfg.cutoff + 1
     rho = np.eye(dim, dtype=complex) / dim
     history: list[float] = []
     monotone = True
     converged = False
     for _ in range(cfg.max_iterations):
-        p = _probabilities(w, rho)
-        bad = np.nonzero(p <= _PROB_FLOOR)[0]
-        if bad.size:
-            raise SingularLikelihoodError(
-                f"{bad.size} records have vanishing probability at iteration "
-                f"{len(history)} (first offenders: {bad[:10].tolist()})",
-                record_indices=bad.tolist(),
-            )
-        ll = float(np.dot(weights, np.log(p)))
+        p, ll = tables.log_likelihood(rho, f"at iteration {len(history)}")
         if history:
             drop = history[-1] - ll
             if drop > _MONOTONE_TOL * max(1.0, abs(history[-1])):
@@ -194,8 +237,7 @@ def mle_reconstruct(
                 converged = True
                 break
         history.append(ll)
-        # R[n,m] = sum_j Pi_j[n,m]/p_j with Pi_j = outer(w_j, conj(w_j))
-        r_op = w.T @ (w.conj() * (weights / p)[:, None])
+        r_op = tables.r_operator(p)
         rho = r_op @ rho @ r_op
         rho = 0.5 * (rho + rho.conj().T)
         rho /= np.trace(rho).real
@@ -211,7 +253,7 @@ def mle_reconstruct(
         vals /= vals.sum()
         rho = (vecs * vals) @ vecs.conj().T
         psd_fixed = True
-    final_ll = float(np.dot(weights, np.log(_probabilities(w, rho))))
+    final_ll = float(np.dot(tables.weights, np.log(tables.probabilities(rho))))
     diagnostics = {
         "iterations": len(history),
         "final_log_likelihood": final_ll,

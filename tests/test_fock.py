@@ -18,6 +18,7 @@ from catsim.fock import (
     cat_state,
     coherent_state,
     fidelity,
+    hermite_functions,
     load_density_matrix,
     mean_photon,
     mixed_coherent,
@@ -285,6 +286,15 @@ def test_recurrence_matches_factorial_series():
     for n in range(11):
         for i, q in enumerate(qs):
             assert basis[n, i].real == pytest.approx(psi_series(n, q), abs=1e-10)
+
+
+def test_quadrature_basis_is_hermite_functions_times_phases():
+    qs = np.linspace(-4.0, 4.0, 9)
+    psi = hermite_functions(12, qs)
+    assert psi.dtype == np.float64
+    assert np.array_equal(quadrature_basis(12, qs, 0.0), psi)
+    phases = np.exp(1j * np.arange(13) * 0.7)
+    assert np.array_equal(quadrature_basis(12, qs, 0.7), psi * phases[:, None])
 
 
 def test_wavefunction_normalization():

@@ -171,6 +171,36 @@ def test_stage_with_mismatched_config_rejected(tmp_path):
         pipeline.sample(cfg.with_seed(999), out)
 
 
+def test_reconstruct_with_other_seed_keeps_manifest(tmp_path, capsys):
+    cfg = light_config()
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "kept"
+    pipeline.simulate(cfg, out)
+    pipeline.sample(cfg, out)
+    argv = ["reconstruct", "--config", str(cfg_path), "--out", str(out), "--seed", "5"]
+    assert cli_main(argv) == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["stages"]) == {"simulate", "sample"}
+    capsys.readouterr()
+
+
+def test_reconstruct_rejects_non_finite_phase(tmp_path, capsys):
+    cfg = light_config()
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    out = tmp_path / "nan"
+    pipeline.simulate(cfg, out)
+    pipeline.sample(cfg, out)
+    victim = out / "datasets" / "herald_0.csv"
+    lines = victim.read_text().splitlines()
+    first = lines.index("theta_deg,q") + 1
+    lines[first] = "nan," + lines[first].split(",")[1]
+    victim.write_text("\n".join(lines) + "\n")
+    assert cli_main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "phases must be finite" in capsys.readouterr().err
+
+
 def test_reconstruct_reads_only_datasets(tmp_path):
     # stage isolation: after deleting every simulated state file, the
     # reconstruction still runs purely from the sampled records

@@ -166,6 +166,8 @@ def test_dataset_validation_errors():
     with pytest.raises(SchemaError):
         HomodyneDataset(np.array([0.0, 0.0]), np.array([1.0, np.inf]))
     with pytest.raises(SchemaError):
+        HomodyneDataset(np.array([np.nan, 0.0]), np.array([0.1, 0.2]))
+    with pytest.raises(SchemaError):
         HomodyneDataset(
             np.array([0.0, 10.0]),
             np.array([0.1, 0.2]),
@@ -210,6 +212,13 @@ def test_malformed_records(tmp_path):
 
     path.write_text("angle,value\n0.0,0.5\n")
     with pytest.raises(SchemaError):
+        load_dataset(path)
+
+
+def test_non_finite_phase_token_rejected(tmp_path):
+    path = tmp_path / "nan_theta.csv"
+    path.write_text("theta_deg,q\n0.0,0.5\nnan,0.4\n")
+    with pytest.raises(SchemaError, match="phases must be finite"):
         load_dataset(path)
 
 

@@ -8,12 +8,14 @@ from catsim.errors import (
     DomainError,
     IdentifiabilityWarning,
     NonConvergenceWarning,
+    SingularLikelihoodError,
 )
 from catsim.fock import (
     HilbertConfig,
     SqueezeSpec,
     StateVector,
     fidelity,
+    quadrature_basis,
     squeezed_vacuum,
     trace_distance,
 )
@@ -22,6 +24,7 @@ from catsim.sampler import HomodyneDataset, PhasePlan, synth_dataset
 from catsim.tomography import (
     BootstrapReport,
     MleConfig,
+    _phase_tables,
     bootstrap,
     log_likelihood,
     mle_reconstruct,
@@ -108,6 +111,105 @@ def test_true_state_beats_vacuum_on_squeezed_data():
     rho = squeezed_vacuum(SqueezeSpec(0.576), CFG30).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=1667), seed=10)
     assert log_likelihood(rho, ds) > log_likelihood(vacuum_dm(), ds)
+
+
+def test_singular_record_reported_by_dataset_index():
+    # phases are interleaved, so the offending record (q = 40, index 2) is
+    # not at the same position once records are grouped by phase
+    ds = HomodyneDataset(np.array([45.0, 0.0, 45.0, 0.0]), np.array([0.1, 0.2, 40.0, 0.3]))
+    with pytest.raises(SingularLikelihoodError) as err:
+        log_likelihood(vacuum_dm(), ds)
+    assert err.value.record_indices == [2]
+    with pytest.raises(SingularLikelihoodError) as err:
+        mle_reconstruct(ds, MleConfig(cutoff=8))
+    assert err.value.record_indices == [2]
+    assert "records" in str(err.value)
+    with pytest.raises(SingularLikelihoodError) as err:
+        mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=0.5))
+    assert "bins" in str(err.value)
+
+
+# ---------------------------------------------------------------- kernel oracle
+
+
+def random_density(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def interleaved_records(seed, size=40):
+    rng = np.random.default_rng(seed)
+    return rng.choice([-30.0, 0.0, 45.0, 90.0], size=size), rng.normal(0.0, 1.2, size=size)
+
+
+def brute_force_p_and_r(rho, theta, q, cutoff):
+    """p_j = Tr(Pi_j rho) and R = sum_j Pi_j / p_j, one projector per record."""
+    projectors = [povm_projector(t, x, cutoff) for t, x in zip(theta, q)]
+    p = np.array([np.trace(pi @ rho).real for pi in projectors])
+    return p, sum(pi / pj for pi, pj in zip(projectors, p))
+
+
+def test_phase_tables_match_brute_force_pointwise():
+    cutoff = 8
+    rho = random_density(cutoff + 1, seed=3)
+    theta, q = interleaved_records(seed=4)
+    tables = _phase_tables(theta, q, cutoff, None)
+    want_p, want_r = brute_force_p_and_r(rho, theta, q, cutoff)
+    p = tables.probabilities(rho)
+    assert sorted(tables.index.tolist()) == list(range(q.size))
+    assert np.allclose(p, want_p[tables.index], rtol=0, atol=1e-12)
+    assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
+
+
+def test_phase_tables_match_brute_force_binned():
+    # a bin stands for its records placed at the bin center
+    cutoff, width = 8, 0.25
+    rho = random_density(cutoff + 1, seed=5)
+    theta, q = interleaved_records(seed=6)
+    centers = (np.floor(q / width) + 0.5) * width
+    tables = _phase_tables(theta, q, cutoff, width)
+    want_p, want_r = brute_force_p_and_r(rho, theta, centers, cutoff)
+    p = tables.probabilities(rho)
+    assert tables.weights.sum() == q.size
+    assert np.dot(tables.weights, np.log(p)) == pytest.approx(np.log(want_p).sum(), abs=1e-12)
+    assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
+
+
+def complex_rrr(dataset, cfg):
+    """The sandwich update on a complex record-by-Fock measurement matrix."""
+    phases = np.unique(dataset.theta_deg)
+    w = np.vstack([
+        quadrature_basis(cfg.cutoff, dataset.records_for(t), np.deg2rad(t)).T for t in phases
+    ])
+    dim = cfg.cutoff + 1
+    rho = np.eye(dim, dtype=complex) / dim
+    history = []
+    for _ in range(cfg.max_iterations):
+        p = np.einsum("jn,nm,jm->j", w.conj(), rho, w).real
+        ll = float(np.sum(np.log(p)))
+        if history and abs(ll - history[-1]) < cfg.log_likelihood_tolerance * max(1.0, abs(history[-1])):
+            history.append(ll)
+            break
+        history.append(ll)
+        r_op = w.T @ (w.conj() / p[:, None])
+        rho = r_op @ rho @ r_op
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+    return rho, history
+
+
+def test_mle_matches_complex_update():
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG30).to_density()
+    ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0, 90.0), samples_per_phase=300), seed=12)
+    cfg = MleConfig(cutoff=8, max_iterations=400, log_likelihood_tolerance=1e-9)
+    want_rho, want_history = complex_rrr(ds, cfg)
+    rho_hat, diag = mle_reconstruct(ds, cfg)
+    assert diag["converged"] and not diag["psd_projection_applied"]
+    assert diag["iterations"] == len(want_history)
+    assert np.max(np.abs(rho_hat.elements - want_rho)) < 1e-12
+    assert np.allclose(diag["log_likelihood_history"], want_history, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- reconstruction
