@@ -37,13 +37,10 @@ class HilbertConfig:
     """Truncated single-mode Fock space: indices 0..cutoff, hbar fixed at 1."""
 
     cutoff: int = DEFAULT_CUTOFF
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.cutoff < 1:
             raise DomainError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.hbar != 1.0:
-            raise DomainError("hbar is fixed at 1; no other value is supported")
 
     @property
     def dim(self) -> int:

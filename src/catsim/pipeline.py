@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import time
 from pathlib import Path
 
@@ -255,20 +254,14 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
     t0 = time.perf_counter()
     files: list[Path] = []
     quad_axis = QuadGrid.linspace(cfg.grids.quad_min, cfg.grids.quad_max, cfg.grids.quad_points)
-    workers = os.cpu_count() or 1
     summary: dict = {"config_hash": cfg.config_hash(), "mode": cfg.mode, "states": {}}
     for i, name in enumerate(state_names(cfg)):
         sim = load_density_matrix(out / "states" / name / "density_matrix.json")
         rec = load_density_matrix(out / "recon" / name / "density_matrix.json")
         common = max(sim.config.cutoff, rec.config.cutoff)
         ds = load_dataset(out / "datasets" / f"{name}.csv")
-        rep = bootstrap(
-            ds,
-            cfg.mle,
-            replicas=cfg.bootstrap_replicas,
-            seed=_stage_seed(cfg.seed, "bootstrap", i),
-            workers=workers,
-        )
+        seed = _stage_seed(cfg.seed, "bootstrap", i)
+        rep = bootstrap(ds, cfg.mle, replicas=cfg.bootstrap_replicas, seed=seed)
         boot_path = out / "recon" / name / "bootstrap.json"
         _write_json(rep.to_dict(), boot_path)
         files.append(boot_path)

@@ -15,18 +15,21 @@ and Psi the real (dim x records) table of psi_n(q_j) at that phase:
   R   = sum_theta U · (Psi diag(w/p) Psi^T) · U^†,
 each one real matrix product per phase. The tables are built once per
 dataset; w is 1 per record, or the bin count when records are histogrammed.
+A bootstrap replica resamples each phase's records with replacement and
+reuses the tables: w becomes how often its draw picked each record or bin.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     BootstrapError,
+    CatsimError,
     DomainError,
     IdentifiabilityWarning,
     NonConvergenceWarning,
@@ -104,14 +107,6 @@ def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def _record_scale(dataset: HomodyneDataset) -> float:
-    """Rescale ingested data to the vacuum-variance-1/2 normalization."""
-    snv = float(dataset.meta.get("shot_noise_variance", SHOT_NOISE_VARIANCE))
-    if snv <= 0:
-        raise DomainError(f"shot_noise_variance must be positive, got {snv}")
-    return float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
-
-
 @dataclass(frozen=True)
 class _PhaseTables:
     """Real measurement tables, one per distinct phase.
@@ -123,7 +118,7 @@ class _PhaseTables:
 
     u: list[np.ndarray]  # e^{i n theta}, shape (dim,), per phase
     psi: list[np.ndarray]  # real psi_n(q_j), shape (dim, rows), per phase
-    weights: np.ndarray  # 1 per record, or histogram counts per bin
+    weights: np.ndarray  # records counted per column: 1 per record, or per bin
     index: np.ndarray  # dataset record index per column, or the bin number
     unit: str  # what `index` counts, for error messages
 
@@ -157,61 +152,78 @@ class _PhaseTables:
             )
         return p, float(np.dot(self.weights, np.log(p)))
 
+    def reweighted(self, weights: np.ndarray) -> _PhaseTables:
+        """The same columns under other weights, zero-weight columns dropped.
+
+        A dropped column enters neither the probability floor nor the
+        likelihood, so the tables stand for exactly the records counted.
+        """
+        keep = weights > 0
+        ends = np.cumsum([psi.shape[1] for psi in self.psi])[:-1]
+        psi = [psi[:, k] for psi, k in zip(self.psi, np.split(keep, ends))]
+        return _PhaseTables(self.u, psi, weights[keep], self.index[keep], self.unit)
+
 
 def _phase_tables(
-    theta_deg: np.ndarray, q: np.ndarray, cutoff: int, bin_width: float | None
-) -> _PhaseTables:
-    """Tables for the records, or for histogram bins of width bin_width."""
+    dataset: HomodyneDataset, cutoff: int, bin_width: float | None
+) -> tuple[_PhaseTables, np.ndarray]:
+    """Tables for the records, or for histogram bins of width bin_width,
+    and the table column of each record.
+
+    Records are first rescaled to vacuum variance 1/2. This is the input
+    guard of every entry point: an empty dataset, or a shot-noise variance
+    that is not a finite positive number, is a DomainError. Bin edges are
+    integer multiples of bin_width, so a record falls in the same bin
+    whichever other records share its phase.
+    """
+    if len(dataset) == 0:
+        raise DomainError("dataset is empty")
+    snv = float(dataset.meta.get("shot_noise_variance", SHOT_NOISE_VARIANCE))
+    if not (np.isfinite(snv) and snv > 0):
+        raise DomainError(f"shot_noise_variance must be finite and positive, got {snv}")
+    theta_deg, q = dataset.theta_deg, dataset.q * float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
     u, psi, weights, index = [], [], [], []
+    column = np.empty(q.size, dtype=np.intp)
+    start = 0
     for t in np.unique(theta_deg):
         u.append(np.exp(1j * np.arange(cutoff + 1) * np.deg2rad(t)))
         idx = np.nonzero(theta_deg == t)[0]
         if bin_width is None:
-            points, counts = q[idx], np.ones(idx.size)
+            points, counts, col = q[idx], np.ones(idx.size), np.arange(idx.size)
             index.append(idx)
         else:
             vals = q[idx]
             lo = np.floor(vals.min() / bin_width) - 1
             hi = np.ceil(vals.max() / bin_width) + 1
             edges = np.arange(lo, hi + 1) * bin_width
-            hist, _ = np.histogram(vals, bins=edges)
+            bins = np.searchsorted(edges, vals, side="right") - 1
+            hist = np.bincount(bins, minlength=edges.size - 1)
             keep = hist > 0
             points = (0.5 * (edges[:-1] + edges[1:]))[keep]
             counts = hist[keep].astype(float)
+            col = (np.cumsum(keep) - 1)[bins]
+        column[idx] = start + col
+        start += counts.size
         psi.append(hermite_functions(cutoff, points))
         weights.append(counts)
     weights = np.concatenate(weights)
     if bin_width is None:
-        return _PhaseTables(u, psi, weights, np.concatenate(index), "records")
-    return _PhaseTables(
-        u, psi, weights, np.arange(weights.size),
-        "histogram bins (numbered phase by phase, ascending q)",
-    )
+        return _PhaseTables(u, psi, weights, np.concatenate(index), "records"), column
+    unit = "histogram bins (numbered phase by phase, ascending q)"
+    return _PhaseTables(u, psi, weights, np.arange(weights.size), unit), column
 
 
 def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) -> float:
     """Sum over records of ln Tr(Pi_j rho); order-independent."""
     elements = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    scale = _record_scale(dataset)
-    tables = _phase_tables(dataset.theta_deg, dataset.q * scale, elements.shape[0] - 1, None)
+    tables, _ = _phase_tables(dataset, elements.shape[0] - 1, None)
     return tables.log_likelihood(elements, "under the state")[1]
 
 
-def mle_reconstruct(
-    dataset: HomodyneDataset, cfg: MleConfig
-) -> tuple[DensityMatrix, dict]:
-    """Iterate the sandwich update until the log-likelihood plateaus.
-
-    Returns the reconstructed state and a diagnostics dict with the iteration
-    count, convergence flag, full log-likelihood history, and any warnings.
-    The state is re-hermitized and trace-renormalized every iteration;
-    positivity is only enforced at the output, and only if round-off pushed
-    an eigenvalue below tolerance.
-    """
-    if len(dataset) == 0:
-        raise DomainError("dataset is empty")
+def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]:
+    """The sandwich update on fixed weighted tables; see `mle_reconstruct`."""
     diag_warnings: list[str] = []
-    if len(set(dataset.theta_deg.tolist())) < 2:
+    if len(tables.u) < 2:
         msg = (
             "dataset contains a single phase: off-diagonal elements are not "
             "identifiable; the reconstruction is reliable only on the diagonal "
@@ -219,8 +231,6 @@ def mle_reconstruct(
         )
         warnings.warn(msg, IdentifiabilityWarning)
         diag_warnings.append(msg)
-    scale = _record_scale(dataset)
-    tables = _phase_tables(dataset.theta_deg, dataset.q * scale, cfg.cutoff, cfg.bin_width)
     dim = cfg.cutoff + 1
     rho = np.eye(dim, dtype=complex) / dim
     history: list[float] = []
@@ -266,6 +276,21 @@ def mle_reconstruct(
     return DensityMatrix(rho, HilbertConfig(cfg.cutoff)), diagnostics
 
 
+def mle_reconstruct(
+    dataset: HomodyneDataset, cfg: MleConfig
+) -> tuple[DensityMatrix, dict]:
+    """Iterate the sandwich update until the log-likelihood plateaus.
+
+    Returns the reconstructed state and a diagnostics dict with the iteration
+    count, convergence flag, full log-likelihood history, and any warnings.
+    The state is re-hermitized and trace-renormalized every iteration;
+    positivity is only enforced at the output, and only if round-off pushed
+    an eigenvalue below tolerance.
+    """
+    tables, _ = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
+    return _iterate(tables, cfg)
+
+
 def _replica_quantities(rho: DensityMatrix) -> dict:
     peak = coherence_peak(rho)
     return {
@@ -276,61 +301,40 @@ def _replica_quantities(rho: DensityMatrix) -> dict:
     }
 
 
-def _bootstrap_replica(args) -> tuple[bool, object]:
-    theta, q, snv, cfg, seed = args
-    rng = np.random.default_rng(seed)
-    idx_parts = []
-    for t in np.unique(theta):
-        idx = np.nonzero(theta == t)[0]
-        idx_parts.append(rng.choice(idx, size=idx.size, replace=True))
-    pick = np.concatenate(idx_parts)
-    resampled = HomodyneDataset(
-        theta[pick], q[pick], {"shot_noise_variance": snv}
-    )
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonConvergenceWarning)
-            rho, _ = mle_reconstruct(resampled, cfg)
-        return True, _replica_quantities(rho)
-    except Exception as exc:  # noqa: BLE001 - replica failures are recorded, not fatal
-        return False, f"{type(exc).__name__}: {exc}"
-
-
 def bootstrap(
-    dataset: HomodyneDataset,
-    cfg: MleConfig,
-    replicas: int = 1000,
-    seed: int = 0,
-    workers: int | None = None,
+    dataset: HomodyneDataset, cfg: MleConfig, replicas: int = 1000, seed: int = 0
 ) -> BootstrapReport:
     """Resample records with replacement (stratified per phase) and rerun the MLE.
 
-    Failed replicas are recorded and skipped; at least 90% must succeed.
-    Results are deterministic for a fixed seed regardless of worker count.
+    A replica reweights the dataset's tables by how often its draw picked
+    each record, so the tables are built once. Replicas run in turn, each
+    from its own seed, so the report depends only on `seed`. A replica
+    that fails with a CatsimError or LinAlgError is counted and skipped;
+    at least 90% must succeed.
     """
     if replicas < 2:
         raise DomainError("replicas must be >= 2")
-    snv = float(dataset.meta.get("shot_noise_variance", SHOT_NOISE_VARIANCE))
-    seeds = [
-        int(np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)).generate_state(1)[0])
-        for i in range(replicas)
-    ]
-    jobs = [(dataset.theta_deg, dataset.q, snv, cfg, s) for s in seeds]
-    if workers is None:
-        import os
-
-        workers = min(os.cpu_count() or 1, replicas)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_bootstrap_replica, jobs, chunksize=max(1, replicas // (4 * workers))))
-    else:
-        outcomes = [_bootstrap_replica(j) for j in jobs]
-    results = [payload for ok, payload in outcomes if ok]
-    failures = [payload for ok, payload in outcomes if not ok]
+    tables, column = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
+    phases = [np.nonzero(dataset.theta_deg == t)[0] for t in np.unique(dataset.theta_deg)]
+    results: list[dict] = []
+    failures: list[tuple[str, str]] = []
+    for i in range(replicas):
+        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
+        rng = np.random.default_rng(int(ss.generate_state(1)[0]))
+        pick = np.concatenate([rng.choice(idx, size=idx.size, replace=True) for idx in phases])
+        weights = np.bincount(column[pick], minlength=tables.weights.size).astype(float)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NonConvergenceWarning)
+                rho, _ = _iterate(tables.reweighted(weights), cfg)
+            results.append(_replica_quantities(rho))
+        except (CatsimError, np.linalg.LinAlgError) as exc:
+            failures.append((type(exc).__name__, str(exc)))
     if len(results) < 0.9 * replicas:
+        by_type = Counter(name for name, _ in failures)
         raise BootstrapError(
-            f"only {len(results)}/{replicas} replicas succeeded; first failure: "
-            f"{failures[0] if failures else 'n/a'}"
+            f"only {len(results)}/{replicas} replicas succeeded; failures by type: "
+            f"{dict(by_type)}; first failure: {': '.join(failures[0])}"
         )
     diag = np.stack([r["diagonal"] for r in results])
     scalars = {

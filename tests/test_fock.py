@@ -51,8 +51,6 @@ def test_hilbert_config_validation():
     assert HilbertConfig(5).dim == 6
     with pytest.raises(DomainError):
         HilbertConfig(0)
-    with pytest.raises(DomainError):
-        HilbertConfig(10, hbar=2.0)
 
 
 def test_squeeze_spec_db_conversion():

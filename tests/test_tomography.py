@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from catsim import tomography
+
 from catsim.channels import ExperimentParams, herald_subtract
 from catsim.errors import (
+    BootstrapError,
+    ConvergenceError,
     DomainError,
     IdentifiabilityWarning,
     NonConvergenceWarning,
@@ -155,10 +160,11 @@ def test_phase_tables_match_brute_force_pointwise():
     cutoff = 8
     rho = random_density(cutoff + 1, seed=3)
     theta, q = interleaved_records(seed=4)
-    tables = _phase_tables(theta, q, cutoff, None)
+    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
     want_p, want_r = brute_force_p_and_r(rho, theta, q, cutoff)
     p = tables.probabilities(rho)
     assert sorted(tables.index.tolist()) == list(range(q.size))
+    assert np.array_equal(tables.index[column], np.arange(q.size))
     assert np.allclose(p, want_p[tables.index], rtol=0, atol=1e-12)
     assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
 
@@ -169,10 +175,13 @@ def test_phase_tables_match_brute_force_binned():
     rho = random_density(cutoff + 1, seed=5)
     theta, q = interleaved_records(seed=6)
     centers = (np.floor(q / width) + 0.5) * width
-    tables = _phase_tables(theta, q, cutoff, width)
+    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, width)
     want_p, want_r = brute_force_p_and_r(rho, theta, centers, cutoff)
     p = tables.probabilities(rho)
     assert tables.weights.sum() == q.size
+    assert np.array_equal(np.bincount(column), tables.weights)
+    # each record's column stands for its bin center
+    assert np.allclose(p[column], want_p, rtol=0, atol=1e-12)
     assert np.dot(tables.weights, np.log(p)) == pytest.approx(np.log(want_p).sum(), abs=1e-12)
     assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
 
@@ -289,8 +298,24 @@ def test_nonconvergence_warning_and_best_iterate():
 
 
 def test_empty_dataset_rejected():
+    empty = HomodyneDataset(np.array([]), np.array([]))
     with pytest.raises(DomainError):
-        mle_reconstruct(HomodyneDataset(np.array([]), np.array([])), MleConfig(cutoff=5))
+        log_likelihood(vacuum_dm(), empty)
+    with pytest.raises(DomainError):
+        mle_reconstruct(empty, MleConfig(cutoff=5))
+    with pytest.raises(DomainError):
+        bootstrap(empty, MleConfig(cutoff=5), replicas=2)
+
+
+@pytest.mark.parametrize("snv", [float("nan"), float("inf"), 0.0, -1.0])
+def test_bad_shot_noise_variance_rejected(snv):
+    ds = HomodyneDataset(np.array([0.0, 90.0]), np.array([0.1, -0.2]), {"shot_noise_variance": snv})
+    with pytest.raises(DomainError):
+        log_likelihood(vacuum_dm(), ds)
+    with pytest.raises(DomainError):
+        mle_reconstruct(ds, MleConfig(cutoff=5))
+    with pytest.raises(DomainError):
+        bootstrap(ds, MleConfig(cutoff=5), replicas=2)
 
 
 def test_shot_noise_rescaling():
@@ -312,7 +337,7 @@ def test_shot_noise_rescaling():
 
 def test_bootstrap_smoke_tiny():
     ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=200), seed=5, source_id="tiny")
-    rep = bootstrap(ds, MleConfig(cutoff=6, bin_width=0.1), replicas=2, seed=1, workers=1)
+    rep = bootstrap(ds, MleConfig(cutoff=6, bin_width=0.1), replicas=2, seed=1)
     assert isinstance(rep, BootstrapReport)
     assert rep.successful == 2
     assert np.isfinite(rep.mean_photon[1]) and rep.mean_photon[1] >= 0.0
@@ -322,19 +347,84 @@ def test_bootstrap_smoke_tiny():
 def test_bootstrap_vacuum_sigma():
     ds = synth_dataset(vacuum_dm(), PhasePlan(), seed=19, source_id="vac")
     cfg = MleConfig(cutoff=8, bin_width=0.05, log_likelihood_tolerance=1e-9)
-    rep = bootstrap(ds, cfg, replicas=100, seed=77, workers=2)
+    rep = bootstrap(ds, cfg, replicas=100, seed=77)
     assert rep.successful == 100
     assert rep.mean_photon[1] < 0.01
 
 
-def test_bootstrap_determinism_across_worker_counts():
+def resampled_replica(dataset, cfg, seed, i):
+    """Replica i as a resampled dataset reconstructed from scratch."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
+    rng = np.random.default_rng(int(ss.generate_state(1)[0]))
+    pick = []
+    for t in np.unique(dataset.theta_deg):
+        idx = np.nonzero(dataset.theta_deg == t)[0]
+        pick.append(rng.choice(idx, size=idx.size, replace=True))
+    pick = np.concatenate(pick)
+    snv = dataset.meta["shot_noise_variance"]
+    resampled = HomodyneDataset(dataset.theta_deg[pick], dataset.q[pick], {"shot_noise_variance": snv})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonConvergenceWarning)
+        return mle_reconstruct(resampled, cfg)
+
+
+@pytest.mark.parametrize("bin_width", [None, 0.1])
+def test_bootstrap_replicas_match_resampled_datasets(monkeypatch, herald2_state, bin_width):
+    # a replica reweights the full dataset's tables; the oracle rebuilds
+    # them from the resampled records
+    ds = synth_dataset(herald2_state, PhasePlan(samples_per_phase=300), seed=31, source_id="h2")
+    cfg = MleConfig(cutoff=8, bin_width=bin_width, log_likelihood_tolerance=1e-9)
+    seen = []
+    quantities = tomography._replica_quantities
+
+    def spy(rho):
+        seen.append(rho)
+        return quantities(rho)
+
+    monkeypatch.setattr(tomography, "_replica_quantities", spy)
+    rep = bootstrap(ds, cfg, replicas=4, seed=9)
+    assert rep.successful == 4 and len(seen) == 4
+    oracle = [resampled_replica(ds, cfg, 9, i)[0] for i in range(4)]
+    for got, want in zip(seen, oracle):
+        assert np.max(np.abs(got.elements - want.elements)) < 1e-12
+    w00 = [origin_parity(rho) for rho in oracle]
+    assert rep.origin_wigner == pytest.approx((np.mean(w00), np.std(w00, ddof=1)), abs=1e-12)
+
+
+def test_bootstrap_same_seed_same_report():
     ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=300), seed=23)
     cfg = MleConfig(cutoff=5, bin_width=0.1)
-    serial = bootstrap(ds, cfg, replicas=6, seed=9, workers=1)
-    parallel = bootstrap(ds, cfg, replicas=6, seed=9, workers=2)
-    assert serial.mean_photon == parallel.mean_photon
-    assert serial.origin_wigner == parallel.origin_wigner
-    assert np.array_equal(serial.diagonal_mean, parallel.diagonal_mean)
+    first = bootstrap(ds, cfg, replicas=6, seed=9).to_dict()
+    assert bootstrap(ds, cfg, replicas=6, seed=9).to_dict() == first
+    assert bootstrap(ds, cfg, replicas=6, seed=10).to_dict() != first
+
+
+def test_bootstrap_counts_failures_by_type(monkeypatch):
+    ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=100), seed=2)
+    failing = iter(
+        [ConvergenceError("first"), ConvergenceError("second"), np.linalg.LinAlgError("third")]
+    )
+
+    def fail(rho):
+        raise next(failing)
+
+    monkeypatch.setattr(tomography, "_replica_quantities", fail)
+    with pytest.raises(BootstrapError) as err:
+        bootstrap(ds, MleConfig(cutoff=4, bin_width=0.1), replicas=3)
+    message = str(err.value)
+    assert "{'ConvergenceError': 2, 'LinAlgError': 1}" in message
+    assert "first failure: ConvergenceError: first" in message
+
+
+def test_bootstrap_propagates_programming_errors(monkeypatch):
+    ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=100), seed=2)
+
+    def broken(rho):
+        raise KeyError("not a replica failure")
+
+    monkeypatch.setattr(tomography, "_replica_quantities", broken)
+    with pytest.raises(KeyError):
+        bootstrap(ds, MleConfig(cutoff=4, bin_width=0.1), replicas=2)
 
 
 def test_bootstrap_rejects_too_few_replicas():
@@ -345,7 +435,7 @@ def test_bootstrap_rejects_too_few_replicas():
 
 def test_bootstrap_report_serializes():
     ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=200), seed=5)
-    rep = bootstrap(ds, MleConfig(cutoff=5, bin_width=0.1), replicas=3, seed=4, workers=1)
+    rep = bootstrap(ds, MleConfig(cutoff=5, bin_width=0.1), replicas=3, seed=4)
     payload = rep.to_dict()
     assert payload["replicas"] == 3
     assert set(payload["mean_photon"]) == {"mean", "std"}
