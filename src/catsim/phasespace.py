@@ -4,19 +4,28 @@ matrices, and marginal distributions, all derived from a Fock-basis state.
 The Wigner function is normalized so that its double integral is 1 and the
 vacuum peaks at 1/pi; its value at the origin is 1/pi times the photon-number
 parity expectation.
+
+Both grid pictures are evaluated without per-element special functions:
+- W sums the Fock-basis Laguerre kernels band by band (d = m - n), with the
+  normalized Laguerre factors of each band taken from their upward
+  three-term recurrence over n, as in QuTiP's Laguerre summation (Johansson,
+  Nation, Nori, CPC 184, 1234 (2013)).
+- A marginal sweep over many angles is one matrix product: psi_n(q) does not
+  depend on theta, so Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q) with
+  B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q) built once per state.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import ConvergenceError, DomainError
-from .fock import DensityMatrix, quadrature_basis
+from .export import fields, write_rows
+from .fock import DensityMatrix, hermite_functions, quadrature_basis
 
 DEFAULT_QUAD_RANGE = (-6.0, 6.0)
 DEFAULT_QUAD_POINTS = 241
@@ -94,11 +103,17 @@ class QuadDensityMatrix:
 def _wigner_values(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Evaluate W at paired points via the Fock-basis Laguerre expansion.
 
-    The |m><n| kernel (m >= n) is
-      (1/pi)·e^{-x^2-p^2}·(-1)^n·sqrt(2^{m-n} n!/m!)·(x-ip)^{m-n}·L_n^{m-n}(2(x^2+p^2)),
-    with the m < n kernel its complex conjugate. Coefficients are evaluated in
-    log space and the Laguerre polynomials by stable recurrence.
+    The |m><n| kernel (m >= n, d = m - n) is
+      (1/pi)·e^{-x^2-p^2}·(x-ip)^d·l_n^d(2(x^2+p^2)),
+      l_n^d = (-1)^n·sqrt(2^d n!/m!)·L_n^d,
+    with the m < n kernel its complex conjugate. For each d the normalized
+    l_n^d come from the upward three-term Laguerre recurrence
+      l_{n+1} = ((arg - 2n - 1 - d)·l_n - sqrt(n(n+d))·l_{n-1}) / sqrt((n+1)(n+d+1)),
+    started at l_0 = sqrt(2^d/d!), so no factorial or polynomial is ever
+    evaluated on its own. A real rho keeps the sums in real arithmetic.
     """
+    if not np.any(np.imag(rho)):
+        rho = np.real(rho)
     dim = rho.shape[0]
     x = np.asarray(x, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -109,24 +124,26 @@ def _wigner_values(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     w = np.zeros(np.broadcast(x, p).shape, dtype=complex)
     zpow = np.ones_like(w)
     for d in range(dim):
-        upper = np.zeros_like(w)  # pairs rho[n+d, n]
-        lower = np.zeros_like(w)  # pairs rho[n, n+d]
-        any_term = False
-        for n in range(dim - d):
-            a = rho[n + d, n]
-            b = rho[n, n + d]
-            if a == 0 and b == 0:
-                continue
-            any_term = True
-            coef = np.exp(0.5 * (d * np.log(2.0) + gammaln(n + 1) - gammaln(n + d + 1)))
-            lag = ((-1.0) ** n) * coef * eval_genlaguerre(n, d, arg)
-            upper = upper + a * lag
+        a_diag = np.diagonal(rho, -d)  # rho[n+d, n]
+        b_diag = np.diagonal(rho, d)  # rho[n, n+d]
+        if a_diag.any() or b_diag.any():
+            upper = np.zeros(w.shape, dtype=rho.dtype)
+            lower = np.zeros(w.shape, dtype=rho.dtype)
+            prev = np.zeros(w.shape)
+            lag = np.full(w.shape, math.exp(0.5 * (d * math.log(2.0) - math.lgamma(d + 1))))
+            for n, (a, b) in enumerate(zip(a_diag, b_diag)):
+                if a != 0:
+                    upper += a * lag
+                if d > 0 and b != 0:
+                    lower += b * lag
+                if n + 1 < a_diag.size:
+                    nxt = (arg - (2 * n + 1 + d)) * lag
+                    nxt -= math.sqrt(n * (n + d)) * prev
+                    nxt /= math.sqrt((n + 1) * (n + d + 1))
+                    prev, lag = lag, nxt
+            w += zpow * upper
             if d > 0:
-                lower = lower + b * lag
-        if any_term:
-            w = w + zpow * upper
-            if d > 0:
-                w = w + np.conj(zpow) * lower
+                w += np.conj(zpow) * lower
         if d + 1 < dim:
             zpow = zpow * z
     w = envelope * w
@@ -208,9 +225,19 @@ def marginal(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> n
 def marginal_sweep(
     rho: DensityMatrix, angles_deg: np.ndarray, axis: QuadGrid | np.ndarray
 ) -> np.ndarray:
-    """Stack of marginals, one row per angle (degrees)."""
+    """Stack of marginals, one row per angle (degrees).
+
+    One product for every angle: with B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q),
+    Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q), c_0 = 1 and c_d = 2 for d > 0.
+    """
     q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    return np.stack([marginal(rho, np.deg2rad(a), q) for a in np.asarray(angles_deg)])
+    elements = np.asarray(rho.elements)
+    dim = elements.shape[0]
+    psi = hermite_functions(dim - 1, q)
+    bands = np.stack([np.diagonal(elements, d) @ (psi[: dim - d] * psi[d:]) for d in range(dim)])
+    d = np.arange(dim)
+    phases = np.exp(1j * np.outer(np.deg2rad(np.asarray(angles_deg, dtype=float)), d))
+    return ((phases * np.where(d == 0, 1.0, 2.0)) @ bands).real
 
 
 def origin_parity(rho: DensityMatrix) -> float:
@@ -230,31 +257,26 @@ def _basis_label(theta: float) -> str:
 def save_quad_csv(qdm: QuadDensityMatrix, path) -> None:
     """Grid CSV: '# basis=<...> theta=<deg>' header, then axis1,axis2,re,im rows."""
     theta_deg = float(np.rad2deg(qdm.theta))
-    lines = [f"# basis={_basis_label(qdm.theta)} theta={theta_deg!r}", "axis1,axis2,re,im"]
-    for i, qi in enumerate(qdm.axis):
-        for j, qj in enumerate(qdm.axis):
-            v = qdm.values[i, j]
-            lines.append(f"{float(qi)!r},{float(qj)!r},{float(v.real)!r},{float(v.imag)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    head = [f"# basis={_basis_label(qdm.theta)} theta={theta_deg!r}", "axis1,axis2,re,im"]
+    axis = fields(qdm.axis)
+    rows = zip(axis, qdm.values.real, qdm.values.imag)
+    write_rows(path, head, ((qi, axis, fields(re), fields(im)) for qi, re, im in rows))
 
 
 def save_wigner_csv(grid: WignerGrid, path) -> None:
     """Grid CSV for W(x, p): axis1 = x, axis2 = p, re = W."""
-    lines = ["# basis=wigner theta=0.0", "axis1,axis2,re"]
-    for i, x in enumerate(grid.x_axis):
-        for j, p in enumerate(grid.p_axis):
-            lines.append(f"{float(x)!r},{float(p)!r},{float(grid.values[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    head = ["# basis=wigner theta=0.0", "axis1,axis2,re"]
+    p_axis = fields(grid.p_axis)
+    rows = zip(fields(grid.x_axis), grid.values)
+    write_rows(path, head, ((x, p_axis, fields(w)) for x, w in rows))
 
 
 def save_marginal_sweep_csv(angles_deg, axis, sweep: np.ndarray, path) -> None:
     """Long-format CSV of a marginal sweep: theta_deg, q, density."""
-    lines = ["# basis=marginal-sweep", "theta_deg,q,density"]
-    axis = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, float)
-    for a, row in zip(np.asarray(angles_deg), sweep):
-        for q, d in zip(axis, row):
-            lines.append(f"{float(a)!r},{float(q)!r},{float(d)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    head = ["# basis=marginal-sweep", "theta_deg,q,density"]
+    q = fields(axis.axis if isinstance(axis, QuadGrid) else axis)
+    rows = zip(fields(angles_deg), sweep)
+    write_rows(path, head, ((a, q, fields(density)) for a, density in rows))
 
 
 class CoherencePeak(NamedTuple):

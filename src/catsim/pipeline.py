@@ -19,7 +19,8 @@ import numpy as np
 from . import __version__
 from .channels import count_rate_table, herald_subtract, input_state, loss_channel
 from .config import CAT_PANELS_MODE, RunConfig, save_config
-from .errors import ConfigError, MissingInputError
+from .errors import ConfigError, MissingInputError, ParseError, SchemaError
+from .export import fields, write_rows
 from .fock import (
     DensityMatrix,
     HilbertConfig,
@@ -49,6 +50,8 @@ _STAGE_IDS = {"sample": 1, "bootstrap": 2}
 # reference event rates (counts/s) the analysis compares against
 REFERENCE_RATE_3 = 200.0
 REFERENCE_RATE_4 = 1.5
+
+RATES_HEADER = "state,mean_photon,herald_probability,rate_cps,wigner_min"
 
 
 def _sha256(path: Path) -> str:
@@ -119,27 +122,19 @@ def _build_states(cfg: RunConfig) -> dict[str, DensityMatrix]:
 
 
 def _write_photon_distribution(rho: DensityMatrix, path: Path) -> None:
-    lines = ["n,probability"]
-    for n, p in enumerate(rho.diagonal):
-        lines.append(f"{n},{float(p)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    n = [str(k) for k in range(rho.diagonal.size)]
+    write_rows(path, ["n,probability"], [(n, fields(rho.diagonal))])
 
 
 def _write_coherence_profile(rho: DensityMatrix, axis: QuadGrid, path: Path) -> None:
     qdm = rho_quad(rho, math.pi / 2, axis)
-    anti = qdm.antidiagonal()
-    lines = ["p,re_diag,re_antidiag"]
-    for q, d, a in zip(axis.axis, qdm.diagonal, anti):
-        lines.append(f"{float(q)!r},{float(d)!r},{float(a)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    columns = (fields(axis.axis), fields(qdm.diagonal), fields(qdm.antidiagonal()))
+    write_rows(path, ["p,re_diag,re_antidiag"], [columns])
 
 
 def _write_wigner_xsection(grid, path: Path) -> None:
     j0 = int(np.argmin(np.abs(grid.p_axis)))
-    lines = ["x,w"]
-    for x, w in zip(grid.x_axis, grid.values[:, j0]):
-        lines.append(f"{float(x)!r},{float(w)!r}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_rows(path, ["x,w"], [(fields(grid.x_axis), fields(grid.values[:, j0]))])
 
 
 def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
@@ -159,6 +154,7 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
     angles = np.arange(-90.0, 90.0 + g.marginal_step_deg / 2, g.marginal_step_deg)
 
     states = _build_states(cfg)
+    wigner_min: dict[str, float] = {}
     for name, rho in states.items():
         d = out / "states" / name
         d.mkdir(parents=True, exist_ok=True)
@@ -168,6 +164,7 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
         save_quad_csv(rho_quad(rho, 0.0, quad_axis), d / "rho_xx.csv")
         _write_coherence_profile(rho, quad_axis, d / "coherence.csv")
         wg = wigner(rho, wx, wx)
+        wigner_min[name] = float(wg.values.min())
         save_wigner_csv(wg, d / "wigner.csv")
         _write_wigner_xsection(wg, d / "wigner_xsection.csv")
         sweep = marginal_sweep(rho, angles, quad_axis)
@@ -176,11 +173,12 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
 
     if cfg.mode != CAT_PANELS_MODE:
         table = count_rate_table(cfg.experiment, cfg.experiment.herald_n)
-        lines = ["state,mean_photon,herald_probability,rate_cps"]
-        lines.append(f"input,{mean_photon(states['input'])!r},,")
+        lines = [RATES_HEADER]
+        lines.append(f"input,{mean_photon(states['input'])!r},,,{wigner_min['input']!r}")
         for n, p, rate in table:
-            mp = mean_photon(states[f"herald_{n}"])
-            lines.append(f"herald_{n},{mp!r},{p!r},{rate!r}")
+            name = f"herald_{n}"
+            mp = mean_photon(states[name])
+            lines.append(f"{name},{mp!r},{p!r},{rate!r},{wigner_min[name]!r}")
         rates_path = out / "rates.csv"
         rates_path.write_text("\n".join(lines) + "\n", encoding="ascii")
         files.append(rates_path)
@@ -310,6 +308,27 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"check": name, "passed": bool(passed), "detail": detail}
 
 
+def _read_wigner_min(out: Path, names: list[str]) -> list[float]:
+    """Min W of each named state on the simulated grid, as simulate wrote it to rates.csv."""
+    path = out / "rates.csv"
+    if not path.exists():
+        raise MissingInputError("simulate", f"{path} missing")
+    lines = path.read_text(encoding="ascii").splitlines()
+    if not lines or lines[0] != RATES_HEADER:
+        raise SchemaError(f"{path} lacks the header {RATES_HEADER!r}; rerun 'simulate'")
+    values = {}
+    for line_no, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
+        try:
+            values[row[0]] = float(row[4])
+        except (IndexError, ValueError):
+            raise ParseError(f"unreadable wigner_min in {path.name}: {line!r}", line_no) from None
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise SchemaError(f"{path} has no row for {missing}")
+    return [values[n] for n in names]
+
+
 def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
     checks = []
     n_max = cfg.experiment.herald_n
@@ -327,18 +346,11 @@ def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
         )
     )
 
-    neg_ok = True
-    minima = []
-    for n in range(1, n_max + 1):
-        rho = load_density_matrix(out / "states" / f"herald_{n}" / "density_matrix.json")
-        wx = np.linspace(cfg.grids.wigner_min, cfg.grids.wigner_max, cfg.grids.wigner_points)
-        m = float(wigner(rho, wx, wx).values.min())
-        minima.append(m)
-        neg_ok = neg_ok and (m < -0.002)
+    minima = _read_wigner_min(out, names[1:])
     checks.append(
         _check(
             "wigner_negativity",
-            neg_ok,
+            all(m < -0.002 for m in minima),
             "min W < -0.002 for every n >= 1: " + ", ".join(f"{m:+.4f}" for m in minima),
         )
     )

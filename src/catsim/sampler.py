@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateDistributionError, DomainError, ParseError, SchemaError
+from .export import fields, write_rows
 from .fock import DensityMatrix
 from .phasespace import marginal
 
@@ -25,6 +26,7 @@ SHOT_NOISE_VARIANCE = 0.5  # vacuum quadrature variance in this normalization
 _CDF_POINTS = 4096
 _CDF_RANGE = (-8.0, 8.0)  # covers the anti-squeezed tails of every pipeline state
 _MIN_GRID_MASS = 0.999
+_BLOCK_ROWS = 8192  # records formatted and written at a time
 
 
 @dataclass(frozen=True)
@@ -156,9 +158,14 @@ def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
         lines.append("#counts_per_phase=" + ",".join(str(int(c)) for c in meta["counts_per_phase"]))
     lines.append(f"#shot_noise_variance={float(meta.get('shot_noise_variance', SHOT_NOISE_VARIANCE))!r}")
     lines.append("theta_deg,q")
-    for t, v in zip(dataset.theta_deg, dataset.q):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    # each distinct phase is formatted once; the bit pattern keeps -0.0 apart from 0.0
+    bits, phase = np.unique(dataset.theta_deg.view(np.int64), return_inverse=True)
+    theta = np.array(fields(bits.view(float)), dtype=object)
+    blocks = (
+        (theta[phase[s : s + _BLOCK_ROWS]].tolist(), fields(dataset.q[s : s + _BLOCK_ROWS]))
+        for s in range(0, len(dataset), _BLOCK_ROWS)
+    )
+    write_rows(path, lines, blocks)
 
 
 def load_dataset(path: str | Path) -> HomodyneDataset:

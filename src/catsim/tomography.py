@@ -117,6 +117,7 @@ class _PhaseTables:
     """
 
     u: list[np.ndarray]  # e^{i n theta}, shape (dim,), per phase
+    uu: list[np.ndarray]  # u u^†, the phase factor of R, shape (dim, dim), per phase
     psi: list[np.ndarray]  # real psi_n(q_j), shape (dim, rows), per phase
     weights: np.ndarray  # records counted per column: 1 per record, or per bin
     index: np.ndarray  # dataset record index per column, or the bin number
@@ -134,9 +135,9 @@ class _PhaseTables:
         c = self.weights / p
         r = np.zeros((self.u[0].size,) * 2, dtype=complex)
         start = 0
-        for u, psi in zip(self.u, self.psi):
+        for uu, psi in zip(self.uu, self.psi):
             stop = start + psi.shape[1]
-            r += ((psi * c[start:stop]) @ psi.T) * np.outer(u, u.conj())
+            r += ((psi * c[start:stop]) @ psi.T) * uu
             start = stop
         return r
 
@@ -161,7 +162,7 @@ class _PhaseTables:
         keep = weights > 0
         ends = np.cumsum([psi.shape[1] for psi in self.psi])[:-1]
         psi = [psi[:, k] for psi, k in zip(self.psi, np.split(keep, ends))]
-        return _PhaseTables(self.u, psi, weights[keep], self.index[keep], self.unit)
+        return _PhaseTables(self.u, self.uu, psi, weights[keep], self.index[keep], self.unit)
 
 
 def _phase_tables(
@@ -207,10 +208,11 @@ def _phase_tables(
         psi.append(hermite_functions(cutoff, points))
         weights.append(counts)
     weights = np.concatenate(weights)
+    uu = [np.outer(v, v.conj()) for v in u]
     if bin_width is None:
-        return _PhaseTables(u, psi, weights, np.concatenate(index), "records"), column
+        return _PhaseTables(u, uu, psi, weights, np.concatenate(index), "records"), column
     unit = "histogram bins (numbered phase by phase, ascending q)"
-    return _PhaseTables(u, psi, weights, np.arange(weights.size), unit), column
+    return _PhaseTables(u, uu, psi, weights, np.arange(weights.size), unit), column
 
 
 def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) -> float:

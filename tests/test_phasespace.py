@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre, gammaln
 
 from catsim.channels import loss_channel
 from catsim.errors import DomainError
@@ -11,10 +12,13 @@ from catsim.fock import (
     SqueezeSpec,
     StateVector,
     cat_state,
+    phase_rotated,
     squeezed_vacuum,
 )
 from catsim.phasespace import (
+    QuadDensityMatrix,
     QuadGrid,
+    WignerGrid,
     coherence_peak,
     marginal,
     marginal_sweep,
@@ -92,6 +96,45 @@ def test_wigner_cross_method_agreement():
             direct = float(wigner_values(rho, x, p))
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             assert direct == pytest.approx(oracle, abs=1e-6)
+
+
+def laguerre_expansion_wigner(rho, x, p):
+    """W by the closed-form kernel with one eval_genlaguerre call per (n, d)."""
+    r2 = x * x + p * p
+    z = x - 1j * p
+    w = np.zeros(np.broadcast(x, p).shape, dtype=complex)
+    for d in range(rho.shape[0]):
+        for n in range(rho.shape[0] - d):
+            coef = np.exp(0.5 * (d * np.log(2.0) + gammaln(n + 1) - gammaln(n + d + 1)))
+            lag = (-1.0) ** n * coef * eval_genlaguerre(n, d, 2.0 * r2)
+            w += rho[n + d, n] * z**d * lag
+            if d > 0:
+                w += rho[n, n + d] * np.conj(z) ** d * lag
+    return (np.exp(-r2) / np.pi * w).real
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        phase_rotated(cat_state(2.0 + 0.5j, "odd", CFG).to_density(), 0.7),
+        fock_dm(30),
+    ],
+    ids=["rotated_complex_cat", "fock_30"],
+)
+def test_wigner_recurrence_matches_laguerre_expansion(rho):
+    axis = np.linspace(-5.0, 5.0, 41)
+    xg, pg = np.meshgrid(axis, axis, indexing="ij")
+    expected = laguerre_expansion_wigner(np.asarray(rho.elements), xg, pg)
+    assert np.max(np.abs(wigner(rho, axis, axis).values - expected)) < 1e-12
+
+
+def test_marginal_sweep_matches_per_angle_marginals():
+    rho = random_dm(5, cutoff=12)
+    assert np.abs(rho.elements.imag).max() > 0.01
+    angles = np.arange(-90.0, 91.0, 7.5)
+    grid = QuadGrid.linspace(-5, 5, 101)
+    expected = np.stack([marginal(rho, np.deg2rad(a), grid) for a in angles])
+    assert np.max(np.abs(marginal_sweep(rho, angles, grid) - expected)) < 1e-12
 
 
 def test_rho_quad_vacuum_momentum_basis():
@@ -226,3 +269,50 @@ def test_coherence_peak_requires_symmetric_axis():
     rho = fock_dm(0, HilbertConfig(4))
     with pytest.raises(DomainError):
         coherence_peak(rho, np.linspace(-1.0, 2.0, 31))
+
+
+# values whose text is easy to get wrong: signed zero, a subnormal, and one
+# that needs all 17 significant digits
+AWKWARD = np.array([-0.0, 5e-324, 0.1 + 0.2, -1.2345678901234567e-300, 3.0])
+
+
+def f_string_grid_csv(head, axis1, axis2, columns):
+    """The per-element writer that the batched rows must reproduce byte for byte."""
+    lines = list(head)
+    for i, a in enumerate(axis1):
+        for j, b in enumerate(axis2):
+            vals = "".join(f",{float(c[i, j])!r}" for c in columns)
+            lines.append(f"{float(a)!r},{float(b)!r}{vals}")
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_quad_csv_bytes_match_per_element_writer(tmp_path):
+    axis = np.array([-0.0, 5e-324, 0.30000000000000004, 1.0, 2.5])
+    values = np.outer(AWKWARD, AWKWARD[::-1]) + 1j * np.outer(AWKWARD[::-1], AWKWARD)
+    values[0, 0] = complex(-0.0, 5e-324)
+    qdm = QuadDensityMatrix(axis=axis, values=values, theta=math.pi / 2)
+    save_quad_csv(qdm, tmp_path / "q.csv")
+    expected = f_string_grid_csv(
+        ["# basis=momentum theta=90.0", "axis1,axis2,re,im"], axis, axis, [values.real, values.imag]
+    )
+    assert (tmp_path / "q.csv").read_bytes() == expected
+
+
+def test_wigner_csv_bytes_match_per_element_writer(tmp_path):
+    x = AWKWARD.copy()
+    p = np.array([-2.0, -0.0, 0.1 + 0.2])
+    values = np.outer(AWKWARD, [1.0, -1.0, 5e-324])
+    save_wigner_csv(WignerGrid(x, p, values), tmp_path / "w.csv")
+    expected = f_string_grid_csv(["# basis=wigner theta=0.0", "axis1,axis2,re"], x, p, [values])
+    assert (tmp_path / "w.csv").read_bytes() == expected
+
+
+def test_marginal_sweep_csv_bytes_match_per_element_writer(tmp_path):
+    angles = np.array([-90.0, -0.0, 0.1 + 0.2])
+    axis = AWKWARD.copy()
+    sweep = np.outer([1.0, -0.0, 1.0 / 3.0], AWKWARD)
+    save_marginal_sweep_csv(angles, axis, sweep, tmp_path / "m.csv")
+    expected = f_string_grid_csv(
+        ["# basis=marginal-sweep", "theta_deg,q,density"], angles, axis, [sweep]
+    )
+    assert (tmp_path / "m.csv").read_bytes() == expected

@@ -1,6 +1,7 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from catsim import pipeline
@@ -15,7 +16,8 @@ from catsim.config import (
     resolve_config,
     save_config,
 )
-from catsim.errors import ConfigError, MissingInputError
+from catsim.errors import ConfigError, MissingInputError, SchemaError
+from catsim.fock import load_density_matrix
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
 
@@ -259,6 +261,43 @@ def test_tampered_file_fails_integrity(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     save_config(cfg, cfg_path)
     assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+
+
+def test_report_reads_wigner_minima_instead_of_recomputing(tmp_path, monkeypatch):
+    cfg = light_config()
+    out = tmp_path / "r"
+    payload, ok = run_all(cfg, out)
+    # oracle: the verdict from a fresh Wigner grid of each subtracted state
+    axis = np.linspace(cfg.grids.wigner_min, cfg.grids.wigner_max, cfg.grids.wigner_points)
+    minima = []
+    for n in range(1, cfg.experiment.herald_n + 1):
+        rho = load_density_matrix(out / "states" / f"herald_{n}" / "density_matrix.json")
+        minima.append(float(pipeline.wigner(rho, axis, axis).values.min()))
+    expected = {
+        "check": "wigner_negativity",
+        "passed": all(m < -0.002 for m in minima),
+        "detail": "min W < -0.002 for every n >= 1: " + ", ".join(f"{m:+.4f}" for m in minima),
+    }
+
+    def no_wigner(*args, **kwargs):
+        raise AssertionError("report recomputed a Wigner grid")
+
+    monkeypatch.setattr(pipeline, "wigner", no_wigner)
+    again, ok_again = pipeline.report(cfg, out)
+    assert ok_again == ok
+    assert next(c for c in again["checks"] if c["check"] == "wigner_negativity") == expected
+    assert again == payload
+
+
+def test_report_rejects_rates_without_wigner_minima(tmp_path):
+    cfg = light_config()
+    out = tmp_path / "old"
+    run_all(cfg, out)
+    rates = out / "rates.csv"
+    rows = [line.rsplit(",", 1)[0] for line in rates.read_text().splitlines()]
+    rates.write_text("\n".join(rows) + "\n")
+    with pytest.raises(SchemaError, match="wigner_min"):
+        pipeline.report(cfg, out)
 
 
 def test_single_phase_warning_reaches_report(tmp_path):

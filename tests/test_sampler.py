@@ -191,6 +191,31 @@ def test_save_load_roundtrip(tmp_path):
     assert back.meta["shot_noise_variance"] == 0.5
 
 
+def test_dataset_csv_bytes_match_per_record_writer(tmp_path):
+    theta = np.array([0.0, -0.0, 22.5, 0.1 + 0.2, 0.0, -0.0, 5e-324, 22.5])
+    q = np.array([-0.0, 5e-324, 0.1 + 0.2, -1.2345678901234567e-300, 1e22, 3.0, -2.5, 0.0])
+    ds = HomodyneDataset(theta, q, {"source_id": "awkward", "seed": 3})
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    lines = [
+        "#source_id=awkward",
+        "#seed=3",
+        f"#shot_noise_variance={0.5!r}",
+        "theta_deg,q",
+        *(f"{float(t)!r},{float(v)!r}" for t, v in zip(theta, q)),
+    ]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_dataset_csv_bytes_match_per_record_writer_over_many_blocks(tmp_path):
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG).to_density()
+    ds = synth_dataset(rho, PhasePlan(phases_deg=(-45.0, 0.0, 90.0), samples_per_phase=9000), seed=2)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    records = [f"{float(t)!r},{float(v)!r}" for t, v in zip(ds.theta_deg, ds.q)]
+    assert path.read_text().splitlines()[-len(records) - 1 :] == ["theta_deg,q", *records]
+
+
 def test_empty_dataset_roundtrip(tmp_path):
     ds = HomodyneDataset(np.array([]), np.array([]), {"source_id": "empty"})
     path = tmp_path / "empty.csv"
