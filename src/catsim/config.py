@@ -86,7 +86,7 @@ class RunConfig:
         cp["mle"] = {
             "cutoff": repr(self.mle.cutoff),
             "max_iterations": repr(self.mle.max_iterations),
-            "log_likelihood_tolerance": repr(self.mle.log_likelihood_tolerance),
+            "gap_tolerance": repr(self.mle.gap_tolerance),
             "binning": "pointwise" if self.mle.bin_width is None else repr(self.mle.bin_width),
         }
         g = self.grids
@@ -140,11 +140,16 @@ class RunConfig:
                 phases_deg=phases,
                 samples_per_phase=cp.getint("plan", "samples_per_phase"),
             )
+            if cp.has_option("mle", "log_likelihood_tolerance"):
+                raise ConfigError(
+                    "[mle] log_likelihood_tolerance is no longer read: the MLE now stops on "
+                    "gap_tolerance, the certified likelihood gap in nats (default 1e-3)"
+                )
             binning = cp.get("mle", "binning").strip()
             mle = MleConfig(
                 cutoff=cp.getint("mle", "cutoff"),
                 max_iterations=cp.getint("mle", "max_iterations"),
-                log_likelihood_tolerance=cp.getfloat("mle", "log_likelihood_tolerance"),
+                gap_tolerance=cp.getfloat("mle", "gap_tolerance"),
                 bin_width=None if binning == "pointwise" else float(binning),
             )
             grids = GridSpec(

@@ -232,6 +232,7 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
             {
                 "iterations": diag["iterations"],
                 "final_log_likelihood": diag["final_log_likelihood"],
+                "likelihood_gap": diag["likelihood_gap"],
                 "converged": diag["converged"],
                 "monotone": diag["monotone"],
                 "warnings": diag["warnings"],
@@ -481,7 +482,6 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
     out = Path(out)
     manifest = _require(out, "report", "analyze", cfg)
     t0 = time.perf_counter()
-    summary = json.loads((out / "analysis" / "summary.json").read_text(encoding="ascii"))
 
     integrity_failures = []
     for stage, entry in manifest["stages"].items():
@@ -491,6 +491,11 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
                 integrity_failures.append(f"{rel} missing")
             elif _sha256(p) != digest:
                 integrity_failures.append(f"{rel} checksum mismatch")
+    try:
+        summary = json.loads((out / "analysis" / "summary.json").read_text(encoding="ascii"))
+    except ValueError as exc:  # not ASCII or not JSON: no physics check can read it
+        summary = None
+        integrity_failures.insert(0, f"analysis/summary.json unreadable ({exc})")
     checks = [
         _check(
             "manifest_integrity",
@@ -500,10 +505,11 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
             else "; ".join(integrity_failures[:5]),
         )
     ]
-    if cfg.mode == CAT_PANELS_MODE:
-        checks.extend(_cat_checks(cfg, summary))
-    else:
-        checks.extend(_subtraction_checks(cfg, out, summary))
+    if summary is not None:
+        if cfg.mode == CAT_PANELS_MODE:
+            checks.extend(_cat_checks(cfg, summary))
+        else:
+            checks.extend(_subtraction_checks(cfg, out, summary))
 
     recon_warnings = {}
     for diag_path in sorted((out / "recon").glob("*/diagnostics.json")):

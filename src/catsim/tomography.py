@@ -1,11 +1,16 @@
 """Maximum-likelihood reconstruction of a Fock-basis density matrix from
 homodyne records, with stratified-bootstrap error bars.
 
-The estimator is the iterative sandwich update rho <- N[R(rho)·rho·R(rho)]
-with R(rho) = sum_j Pi_j / Tr(Pi_j rho), started from the maximally mixed
-state. Pi_j is the rank-1 projector onto the truncated quadrature
-eigenvector of record j. No efficiency or loss compensation of any kind is
-applied.
+The estimator maximizes LL(rho) = sum_j w_j ln Tr(Pi_j rho), where Pi_j is
+the rank-1 projector onto the truncated quadrature eigenvector of record j.
+It runs L-BFGS on a complex factor A with rho = A A^†/Tr(A A^†), so every
+iterate is a state. The start is A = I/sqrt(dim), the maximally mixed
+state. With R(rho) = sum_j w_j Pi_j / Tr(Pi_j rho) and N = sum_j w_j, the
+gradient of -LL/N in A is -2 (R - N·I) A / (N·Tr(A A^†)). LL is concave
+in rho, so g = lambda_max(R) - N bounds LL* - LL(rho) from above (Glancy,
+Knill and Girard, NJP 14, 095017, 2012). The iteration stops once g is at
+most the configured gap tolerance. No efficiency or loss compensation of
+any kind is applied.
 
 The kernel works in real arithmetic, one phase at a time. The quadrature
 eigenvector is <n|q,theta> = psi_n(q)·u_n with psi_n real and
@@ -22,7 +27,7 @@ reuses the tables: w becomes how often its draw picked each record or bin.
 from __future__ import annotations
 
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +52,10 @@ from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
 _PROB_FLOOR = 1e-290
 _MONOTONE_TOL = 1e-9  # relative round-off allowance on the likelihood climb
-_PSD_FIX_TOL = 1e-9
+_LBFGS_PAIRS = 10  # (s, y) pairs kept by the two-loop recursion
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_MAX_BACKTRACKS = 60  # halvings of the step before the line search gives up
+_LL_RESOLUTION = 1e-12  # a gain below this fraction of |LL| may be round-off
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,13 @@ class MleConfig:
 
     bin_width = None keeps one projector per record; a positive width
     histograms records per phase and weights bin-center projectors by their
-    counts, trading a little resolution for a large speedup.
+    counts, trading a little resolution for a large speedup. The iteration
+    stops once the certified likelihood gap is at most gap_tolerance nats.
     """
 
     cutoff: int = 15
     max_iterations: int = 2000
-    log_likelihood_tolerance: float = 1e-10
+    gap_tolerance: float = 1e-3
     bin_width: float | None = None
 
     def __post_init__(self):
@@ -69,15 +78,16 @@ class MleConfig:
             raise DomainError("cutoff must be >= 1")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if self.log_likelihood_tolerance <= 0:
-            raise DomainError("log_likelihood_tolerance must be > 0")
+        if not self.gap_tolerance > 0:
+            raise DomainError("gap_tolerance must be > 0")
         if self.bin_width is not None and self.bin_width <= 0:
             raise DomainError("bin_width must be positive or None")
 
 
 @dataclass(frozen=True)
 class BootstrapReport:
-    """Mean and 1-sigma spread of reconstructed quantities over replicas."""
+    """Mean and 1-sigma spread of reconstructed quantities over replicas,
+    and how the successful replicas' MLE runs ended."""
 
     replicas: int
     successful: int
@@ -86,11 +96,17 @@ class BootstrapReport:
     mean_photon: tuple[float, float]
     origin_wigner: tuple[float, float]
     peak_coherence: tuple[float, float]
+    iterations: tuple[float, int]  # median and max over replicas
+    unconverged: int  # replicas that stopped above the gap tolerance
+    max_likelihood_gap: float
 
     def to_dict(self) -> dict:
         return {
             "replicas": self.replicas,
             "successful": self.successful,
+            "iterations": {"median": self.iterations[0], "max": self.iterations[1]},
+            "unconverged": self.unconverged,
+            "max_likelihood_gap": self.max_likelihood_gap,
             "diagonal_mean": self.diagonal_mean.tolist(),
             "diagonal_std": self.diagonal_std.tolist(),
             "mean_photon": {"mean": self.mean_photon[0], "std": self.mean_photon[1]},
@@ -222,8 +238,84 @@ def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) ->
     return tables.log_likelihood(elements, "under the state")[1]
 
 
+def _real(x: np.ndarray) -> np.ndarray:
+    """A complex matrix as the real vector of its Re/Im pairs (a view), so
+    that x @ y is Re<x, y>."""
+    return x.view(np.float64).ravel()
+
+
+def _direction(grad: np.ndarray, pairs: deque) -> np.ndarray:
+    """-H·grad by the L-BFGS two-loop recursion over the stored (s, y, 1/<s, y>)."""
+    q = -grad
+    alphas = []
+    for s, y, inv in reversed(pairs):
+        alpha = inv * (s @ q)
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        s, y, _ = pairs[-1]
+        q *= (s @ y) / (y @ y)
+    for (s, y, inv), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - inv * (y @ q)) * s
+    return q
+
+
+def _state(a: np.ndarray) -> np.ndarray:
+    """rho = A A^† / Tr(A A^†): Hermitian, unit-trace and PSD by construction."""
+    rho = a @ a.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _gradient(r_op: np.ndarray, a: np.ndarray, total: float) -> np.ndarray:
+    """Gradient of f = -LL/N in A, as a real vector; it uses Tr(R rho) = N."""
+    return _real(-2.0 * (r_op @ a - total * a) / (total * np.vdot(a, a).real))
+
+
+def _gain(weights: np.ndarray, p: np.ndarray, trial_p: np.ndarray) -> float:
+    """LL(trial) - LL as sum_j w_j ln(1 + (p'_j - p_j)/p_j), which keeps its
+    precision where two sums of logs would cancel."""
+    return float(np.dot(weights, np.log1p((trial_p - p) / p)))
+
+
+def _line_search(
+    tables: _PhaseTables,
+    a: np.ndarray,
+    p: np.ndarray,
+    ll: float,
+    direction: np.ndarray,
+    slope: float,
+) -> tuple | None:
+    """Backtrack from step 1 until the Armijo rule holds on f = -LL/N.
+
+    A trial with a vanishing probability counts as f = +inf. Near the
+    maximum the gain falls below what a sum of logs resolves, while the
+    gradient keeps its precision: a trial whose gain is within that
+    resolution passes if the slope along the step passes the Armijo rule's
+    derivative form, which is exact for a quadratic. Returns the accepted
+    (A, rho, p, LL, R), or None after _MAX_BACKTRACKS halvings.
+    """
+    total = float(tables.weights.sum())
+    resolution = _LL_RESOLUTION * abs(ll)
+    t = 1.0
+    for _ in range(_MAX_BACKTRACKS):
+        trial = a + t * direction.view(complex).reshape(a.shape)
+        rho = _state(trial)
+        trial_p = tables.probabilities(rho)
+        if np.all(trial_p > _PROB_FLOOR):
+            gain = _gain(tables.weights, p, trial_p)
+            if gain > 0 and gain >= -_ARMIJO * t * slope * total:
+                return trial, rho, trial_p, ll + gain, tables.r_operator(trial_p)
+            if gain >= -resolution:
+                r_op = tables.r_operator(trial_p)
+                if _gradient(r_op, trial, total) @ direction <= (1 - 2 * _ARMIJO) * -slope:
+                    return trial, rho, trial_p, ll + gain, r_op
+        t *= 0.5
+    return None
+
+
 def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]:
-    """The sandwich update on fixed weighted tables; see `mle_reconstruct`."""
+    """L-BFGS on the factor A of rho; see `mle_reconstruct`."""
     diag_warnings: list[str] = []
     if len(tables.u) < 2:
         msg = (
@@ -234,45 +326,57 @@ def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]
         warnings.warn(msg, IdentifiabilityWarning)
         diag_warnings.append(msg)
     dim = cfg.cutoff + 1
-    rho = np.eye(dim, dtype=complex) / dim
-    history: list[float] = []
+    total = float(tables.weights.sum())
+    a = np.eye(dim, dtype=complex) / np.sqrt(dim)
+    rho = _state(a)
+    p, ll = tables.log_likelihood(rho, "at the maximally mixed start")
+    r_op = tables.r_operator(p)
+    history = [ll]
+    pairs: deque = deque(maxlen=_LBFGS_PAIRS)
+    grad = step = None
     monotone = True
     converged = False
-    for _ in range(cfg.max_iterations):
-        p, ll = tables.log_likelihood(rho, f"at iteration {len(history)}")
-        if history:
-            drop = history[-1] - ll
-            if drop > _MONOTONE_TOL * max(1.0, abs(history[-1])):
-                monotone = False
-            if abs(ll - history[-1]) < cfg.log_likelihood_tolerance * max(1.0, abs(history[-1])):
-                history.append(ll)
-                converged = True
-                break
+    stop = f"hit the iteration cap ({cfg.max_iterations})"
+    while True:
+        gap = float(np.linalg.eigvalsh(r_op)[-1]) - total
+        new_grad = _gradient(r_op, a, total)
+        if grad is not None:
+            y = new_grad - grad
+            sy = step @ y
+            if sy > 0:
+                pairs.append((step, y, 1.0 / sy))
+        grad = new_grad
+        if gap <= cfg.gap_tolerance:
+            converged = True
+            break
+        if len(history) >= cfg.max_iterations:
+            break
+        direction = _direction(grad, pairs)
+        slope = float(grad @ direction)
+        if not slope < 0:
+            pairs.clear()
+            direction = -grad
+            slope = -float(grad @ grad)
+        accepted = _line_search(tables, a, p, ll, direction, slope)
+        if accepted is None:
+            stop = f"the line search could not raise the likelihood at iteration {len(history)}"
+            break
+        new_a, rho, p, new_ll, r_op = accepted
+        if ll - new_ll > _MONOTONE_TOL * max(1.0, abs(ll)):
+            monotone = False
+        step, a, ll = _real(new_a - a), new_a, new_ll
         history.append(ll)
-        r_op = tables.r_operator(p)
-        rho = r_op @ rho @ r_op
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
     if not converged:
-        msg = f"hit the iteration cap ({cfg.max_iterations}) before the likelihood plateaued"
+        msg = f"{stop} with the likelihood gap at {gap:.3g} > {cfg.gap_tolerance:g} nats"
         warnings.warn(msg, NonConvergenceWarning)
         diag_warnings.append(msg)
-    psd_fixed = False
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -_PSD_FIX_TOL:
-        vals, vecs = np.linalg.eigh(rho)
-        vals = np.clip(vals, 0.0, None)
-        vals /= vals.sum()
-        rho = (vecs * vals) @ vecs.conj().T
-        psd_fixed = True
-    final_ll = float(np.dot(tables.weights, np.log(tables.probabilities(rho))))
     diagnostics = {
         "iterations": len(history),
-        "final_log_likelihood": final_ll,
+        "final_log_likelihood": ll,
+        "likelihood_gap": gap,
         "converged": converged,
         "monotone": monotone,
         "log_likelihood_history": history,
-        "psd_projection_applied": psd_fixed,
         "warnings": diag_warnings,
     }
     return DensityMatrix(rho, HilbertConfig(cfg.cutoff)), diagnostics
@@ -281,13 +385,13 @@ def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]
 def mle_reconstruct(
     dataset: HomodyneDataset, cfg: MleConfig
 ) -> tuple[DensityMatrix, dict]:
-    """Iterate the sandwich update until the log-likelihood plateaus.
+    """Maximize the likelihood until its certified gap is at most cfg.gap_tolerance.
 
     Returns the reconstructed state and a diagnostics dict with the iteration
-    count, convergence flag, full log-likelihood history, and any warnings.
-    The state is re-hermitized and trace-renormalized every iteration;
-    positivity is only enforced at the output, and only if round-off pushed
-    an eigenvalue below tolerance.
+    count, the final log-likelihood and its gap bound, the convergence flag,
+    the full log-likelihood history (one entry per accepted iterate, the
+    start included) and any warnings. The state is A A^†/Tr(A A^†), so it is
+    Hermitian, unit-trace and positive semidefinite at every iterate.
     """
     tables, _ = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
     return _iterate(tables, cfg)
@@ -319,6 +423,7 @@ def bootstrap(
     tables, column = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
     phases = [np.nonzero(dataset.theta_deg == t)[0] for t in np.unique(dataset.theta_deg)]
     results: list[dict] = []
+    runs: list[dict] = []
     failures: list[tuple[str, str]] = []
     for i in range(replicas):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
@@ -328,8 +433,9 @@ def bootstrap(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonConvergenceWarning)
-                rho, _ = _iterate(tables.reweighted(weights), cfg)
+                rho, run = _iterate(tables.reweighted(weights), cfg)
             results.append(_replica_quantities(rho))
+            runs.append(run)
         except (CatsimError, np.linalg.LinAlgError) as exc:
             failures.append((type(exc).__name__, str(exc)))
     if len(results) < 0.9 * replicas:
@@ -338,7 +444,7 @@ def bootstrap(
             f"only {len(results)}/{replicas} replicas succeeded; failures by type: "
             f"{dict(by_type)}; first failure: {': '.join(failures[0])}"
         )
-    diag = np.stack([r["diagonal"] for r in results])
+    diagonals = np.stack([r["diagonal"] for r in results])
     scalars = {
         key: np.array([r[key] for r in results])
         for key in ("mean_photon", "origin_wigner", "peak_coherence")
@@ -347,12 +453,16 @@ def bootstrap(
     def stat(a: np.ndarray) -> tuple[float, float]:
         return float(np.mean(a)), float(np.std(a, ddof=1))
 
+    iterations = [run["iterations"] for run in runs]
     return BootstrapReport(
         replicas=replicas,
         successful=len(results),
-        diagonal_mean=np.mean(diag, axis=0),
-        diagonal_std=np.std(diag, axis=0, ddof=1),
+        diagonal_mean=np.mean(diagonals, axis=0),
+        diagonal_std=np.std(diagonals, axis=0, ddof=1),
         mean_photon=stat(scalars["mean_photon"]),
         origin_wigner=stat(scalars["origin_wigner"]),
         peak_coherence=stat(scalars["peak_coherence"]),
+        iterations=(float(np.median(iterations)), max(iterations)),
+        unconverged=sum(not run["converged"] for run in runs),
+        max_likelihood_gap=max(run["likelihood_gap"] for run in runs),
     )

@@ -175,7 +175,7 @@ def test_criterion_07_bootstrap_sanity(herald_states):
     t0 = time.time()
     failures = []
     truth = herald_states[2]
-    cfg = MleConfig(cutoff=10, bin_width=0.05, max_iterations=1000, log_likelihood_tolerance=1e-9)
+    cfg = MleConfig(cutoff=10, bin_width=0.05, max_iterations=1000, gap_tolerance=1e-3)
     ds1 = synth_dataset(truth, PhasePlan(samples_per_phase=10_000), seed=501, source_id="h2")
     rep1 = bootstrap(ds1, cfg, replicas=100, seed=601)
     if not rep1.origin_wigner[1] < 0.05:

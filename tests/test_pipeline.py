@@ -26,7 +26,7 @@ def light_config(**overrides):
     base = dict(
         experiment=ExperimentParams(herald_n=1, idler_cutoff=8),
         plan=PhasePlan(samples_per_phase=1500),
-        mle=MleConfig(cutoff=10, bin_width=0.05, max_iterations=400, log_likelihood_tolerance=1e-8),
+        mle=MleConfig(cutoff=10, bin_width=0.05, max_iterations=400, gap_tolerance=1e-3),
         grids=GridSpec(quad_points=81, wigner_points=41, marginal_step_deg=45.0),
         bootstrap_replicas=2,
         seed=7,
@@ -99,6 +99,28 @@ def test_config_rejects_bad_mode():
         RunConfig(mode="wat")
 
 
+def test_config_refuses_the_replaced_tolerance_key():
+    # an INI written before the MLE stopped on its likelihood gap
+    text = light_config().to_ini()
+    old = text.replace("gap_tolerance = 0.001", "log_likelihood_tolerance = 1e-08")
+    assert "gap_tolerance" not in old
+    refused = "log_likelihood_tolerance is no longer read.*gap_tolerance"
+    with pytest.raises(ConfigError, match=refused):
+        RunConfig.from_ini(old)
+    both = text.replace(
+        "gap_tolerance = 0.001", "gap_tolerance = 0.001\nlog_likelihood_tolerance = 1e-08"
+    )
+    with pytest.raises(ConfigError, match=refused):
+        RunConfig.from_ini(both)
+
+
+@pytest.mark.parametrize("value", ["0.0", "-0.001", "nan"])
+def test_config_rejects_non_positive_gap_tolerance(value):
+    text = light_config().to_ini().replace("gap_tolerance = 0.001", f"gap_tolerance = {value}")
+    with pytest.raises(ConfigError, match="gap_tolerance"):
+        RunConfig.from_ini(text)
+
+
 # ---------------------------------------------------------------- stages
 
 
@@ -153,6 +175,20 @@ def test_analyze_summary_contents(finished_run):
     assert 0.9 < block["fidelity"] <= 1.0
     assert block["origin_wigner"]["sigma"] >= 0.0
     assert summary["count_rates"][0]["n"] == 0
+
+
+def test_reconstruction_and_bootstrap_report_convergence(finished_run):
+    cfg, out, _, _ = finished_run
+    for name in ("input", "herald_0", "herald_1"):
+        diag = json.loads((out / "recon" / name / "diagnostics.json").read_text())
+        assert diag["converged"]
+        assert 0.0 <= diag["likelihood_gap"] <= cfg.mle.gap_tolerance
+        assert diag["iterations"] == len(diag["log_likelihood_history"])
+        boot = json.loads((out / "recon" / name / "bootstrap.json").read_text())
+        assert boot["unconverged"] == 0
+        assert 0.0 <= boot["max_likelihood_gap"] <= cfg.mle.gap_tolerance
+        iterations = boot["iterations"]
+        assert 1 <= iterations["median"] <= iterations["max"] <= cfg.mle.max_iterations
 
 
 def test_missing_input_errors(tmp_path):
@@ -263,6 +299,21 @@ def test_tampered_file_fails_integrity(tmp_path):
     assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
 
 
+def test_corrupt_summary_fails_integrity(tmp_path, capsys):
+    cfg = light_config()
+    out = tmp_path / "c"
+    run_all(cfg, out)
+    (out / "analysis" / "summary.json").write_text("{not json")
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    payload = json.loads((out / "report" / "report.json").read_text())
+    assert [c["check"] for c in payload["checks"]] == ["manifest_integrity"]
+    assert not payload["checks"][0]["passed"]
+    assert "analysis/summary.json unreadable" in payload["checks"][0]["detail"]
+    assert "FAIL  manifest_integrity" in capsys.readouterr().out
+
+
 def test_report_reads_wigner_minima_instead_of_recomputing(tmp_path, monkeypatch):
     cfg = light_config()
     out = tmp_path / "r"
@@ -330,7 +381,7 @@ def test_single_phase_warning_reaches_report(tmp_path):
 def test_cat_panels_mode(tmp_path):
     cfg = RunConfig(
         plan=PhasePlan(samples_per_phase=400),
-        mle=MleConfig(cutoff=12, bin_width=0.1, max_iterations=200, log_likelihood_tolerance=1e-8),
+        mle=MleConfig(cutoff=12, bin_width=0.1, max_iterations=200, gap_tolerance=1e-3),
         grids=GridSpec(quad_points=121, wigner_points=41, marginal_step_deg=45.0),
         cat=CatSpec(alpha_im=2.0),
         mode="cat_panels",
