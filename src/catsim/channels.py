@@ -63,8 +63,8 @@ class ExperimentParams:
             raise DomainError(f"bs_reflectivity must be in (0, 1], got {self.bs_reflectivity}")
         if self.herald_n < 0:
             raise DomainError(f"herald_n must be >= 0, got {self.herald_n}")
-        if self.rep_rate_hz <= 0:
-            raise DomainError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
+        if not (0.0 < self.rep_rate_hz < math.inf):
+            raise DomainError(f"rep_rate_hz must be positive and finite, got {self.rep_rate_hz}")
         if not (0.0 < self.duty_cycle <= 1.0):
             raise DomainError(f"duty_cycle must be in (0, 1], got {self.duty_cycle}")
         if self.cutoff < 1 or self.idler_cutoff < 1:
@@ -72,35 +72,6 @@ class ExperimentParams:
 
     def with_herald(self, n: int) -> "ExperimentParams":
         return replace(self, herald_n=n)
-
-    def to_flat_dict(self) -> dict:
-        return {
-            "squeeze_db": self.squeeze.level_db,
-            "opa_loss": self.opa_loss,
-            "bs_reflectivity": self.bs_reflectivity,
-            "idler_efficiency": self.idler_efficiency,
-            "signal_efficiency": self.signal_efficiency,
-            "herald_n": self.herald_n,
-            "rep_rate_hz": self.rep_rate_hz,
-            "duty_cycle": self.duty_cycle,
-            "cutoff": self.cutoff,
-            "idler_cutoff": self.idler_cutoff,
-        }
-
-    @classmethod
-    def from_flat_dict(cls, d: dict) -> "ExperimentParams":
-        return cls(
-            squeeze=SqueezeSpec.from_db(float(d["squeeze_db"])),
-            opa_loss=float(d["opa_loss"]),
-            bs_reflectivity=float(d["bs_reflectivity"]),
-            idler_efficiency=float(d["idler_efficiency"]),
-            signal_efficiency=float(d["signal_efficiency"]),
-            herald_n=int(d["herald_n"]),
-            rep_rate_hz=float(d["rep_rate_hz"]),
-            duty_cycle=float(d["duty_cycle"]),
-            cutoff=int(d["cutoff"]),
-            idler_cutoff=int(d["idler_cutoff"]),
-        )
 
 
 @dataclass(frozen=True)

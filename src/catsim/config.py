@@ -1,17 +1,20 @@
 """Run configuration: one INI file describes one reproducible pipeline run.
 
-The [experiment] section carries the flat serialization of ExperimentParams
-(keys squeeze_db, opa_loss, bs_reflectivity, idler_efficiency,
-signal_efficiency, herald_n, rep_rate_hz, duty_cycle, cutoff, idler_cutoff);
-[plan], [mle], [grids], [run], and [cat] hold the remaining stage settings.
+Each section holds one dataclass (see _SECTIONS), and each of its fields one
+key `name = repr(value)`, parsed back by the field's type. _CODECS holds the
+fields whose key or text differ; a key may be missing only where _OPTIONAL
+allows, and the field then keeps its default.
 """
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, field, replace
+import math
+import typing
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .channels import ExperimentParams
@@ -22,6 +25,28 @@ from .tomography import MleConfig
 
 SUBTRACTION_MODE = "subtraction"
 CAT_PANELS_MODE = "cat_panels"
+
+# INI section order; [run] holds RunConfig's scalars, every other one the field so named
+_SECTIONS = ("experiment", "plan", "mle", "grids", "run", "cat")
+
+# field -> (INI key, format, parse) for the fields not written `name = repr(value)`
+_CODECS = {
+    "squeeze": ("squeeze_db", lambda s: repr(s.level_db), lambda t: SqueezeSpec.from_db(float(t))),
+    "phases_deg": (
+        "phases_deg",
+        lambda v: ", ".join(map(repr, v)),
+        lambda t: tuple(float(tok) for tok in t.split(",") if tok.strip()),
+    ),
+    "bin_width": (
+        "binning",
+        lambda v: "pointwise" if v is None else repr(v),
+        lambda t: None if t.strip() == "pointwise" else float(t),
+    ),
+    "mode": ("mode", str, str),
+}
+
+# "section.key" an INI may leave out, or a section name for all of its keys
+_OPTIONAL = {"cat", "run.mode", "run.bootstrap_replicas"}
 
 
 @dataclass(frozen=True)
@@ -39,8 +64,8 @@ class GridSpec:
             raise ConfigError("grids need at least 3 points per axis")
         if self.quad_min >= self.quad_max or self.wigner_min >= self.wigner_max:
             raise ConfigError("grid bounds must be increasing")
-        if self.marginal_step_deg <= 0:
-            raise ConfigError("marginal_step_deg must be positive")
+        if not (0.0 < self.marginal_step_deg < math.inf):
+            raise ConfigError("marginal_step_deg must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -49,9 +74,31 @@ class CatSpec:
     alpha_im: float = 2.5
     loss: float = 0.3
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.alpha) and 0.0 <= self.loss <= 1.0):
+            raise ConfigError(f"cat needs a finite alpha and a loss in [0, 1], got {self}")
+
     @property
     def alpha(self) -> complex:
         return complex(self.alpha_re, self.alpha_im)
+
+
+def _codec(cls):
+    """(field, INI key, format, parse) for each field of cls held in its own section."""
+    hints = typing.get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in _SECTIONS:
+            yield (f.name, *_CODECS.get(f.name, (f.name, repr, hints[f.name])))
+
+
+def _read(cp: configparser.ConfigParser, section: str, cls):
+    """Build cls from its keys in `section`, and its dataclass fields from their sections."""
+    hints = typing.get_type_hints(cls)
+    values = {s: _read(cp, s, hints[s]) for s in _SECTIONS if s in hints}
+    for name, key, _, parse in _codec(cls):
+        if cp.has_option(section, key) or not {section, f"{section}.{key}"} & _OPTIONAL:
+            values[name] = parse(cp.get(section, key))
+    return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -78,37 +125,9 @@ class RunConfig:
 
     def to_ini(self) -> str:
         cp = configparser.ConfigParser()
-        cp["experiment"] = {k: repr(v) for k, v in self.experiment.to_flat_dict().items()}
-        cp["plan"] = {
-            "phases_deg": ", ".join(repr(t) for t in self.plan.phases_deg),
-            "samples_per_phase": repr(self.plan.samples_per_phase),
-        }
-        cp["mle"] = {
-            "cutoff": repr(self.mle.cutoff),
-            "max_iterations": repr(self.mle.max_iterations),
-            "gap_tolerance": repr(self.mle.gap_tolerance),
-            "binning": "pointwise" if self.mle.bin_width is None else repr(self.mle.bin_width),
-        }
-        g = self.grids
-        cp["grids"] = {
-            "quad_min": repr(g.quad_min),
-            "quad_max": repr(g.quad_max),
-            "quad_points": repr(g.quad_points),
-            "wigner_min": repr(g.wigner_min),
-            "wigner_max": repr(g.wigner_max),
-            "wigner_points": repr(g.wigner_points),
-            "marginal_step_deg": repr(g.marginal_step_deg),
-        }
-        cp["run"] = {
-            "mode": self.mode,
-            "seed": repr(self.seed),
-            "bootstrap_replicas": repr(self.bootstrap_replicas),
-        }
-        cp["cat"] = {
-            "alpha_re": repr(self.cat.alpha_re),
-            "alpha_im": repr(self.cat.alpha_im),
-            "loss": repr(self.cat.loss),
-        }
+        for section in _SECTIONS:
+            obj = self if section == "run" else getattr(self, section)
+            cp[section] = {key: fmt(getattr(obj, name)) for name, key, fmt, _ in _codec(type(obj))}
         buf = io.StringIO()
         cp.write(buf)
         return buf.getvalue()
@@ -118,66 +137,14 @@ class RunConfig:
         cp = configparser.ConfigParser()
         try:
             cp.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"unreadable config: {exc}") from exc
-        try:
-            exp = ExperimentParams(
-                squeeze=SqueezeSpec.from_db(cp.getfloat("experiment", "squeeze_db")),
-                opa_loss=cp.getfloat("experiment", "opa_loss"),
-                bs_reflectivity=cp.getfloat("experiment", "bs_reflectivity"),
-                idler_efficiency=cp.getfloat("experiment", "idler_efficiency"),
-                signal_efficiency=cp.getfloat("experiment", "signal_efficiency"),
-                herald_n=cp.getint("experiment", "herald_n"),
-                rep_rate_hz=cp.getfloat("experiment", "rep_rate_hz"),
-                duty_cycle=cp.getfloat("experiment", "duty_cycle"),
-                cutoff=cp.getint("experiment", "cutoff"),
-                idler_cutoff=cp.getint("experiment", "idler_cutoff"),
-            )
-            phases = tuple(
-                float(tok) for tok in cp.get("plan", "phases_deg").split(",") if tok.strip()
-            )
-            plan = PhasePlan(
-                phases_deg=phases,
-                samples_per_phase=cp.getint("plan", "samples_per_phase"),
-            )
             if cp.has_option("mle", "log_likelihood_tolerance"):
                 raise ConfigError(
                     "[mle] log_likelihood_tolerance is no longer read: the MLE now stops on "
                     "gap_tolerance, the certified likelihood gap in nats (default 1e-3)"
                 )
-            binning = cp.get("mle", "binning").strip()
-            mle = MleConfig(
-                cutoff=cp.getint("mle", "cutoff"),
-                max_iterations=cp.getint("mle", "max_iterations"),
-                gap_tolerance=cp.getfloat("mle", "gap_tolerance"),
-                bin_width=None if binning == "pointwise" else float(binning),
-            )
-            grids = GridSpec(
-                quad_min=cp.getfloat("grids", "quad_min"),
-                quad_max=cp.getfloat("grids", "quad_max"),
-                quad_points=cp.getint("grids", "quad_points"),
-                wigner_min=cp.getfloat("grids", "wigner_min"),
-                wigner_max=cp.getfloat("grids", "wigner_max"),
-                wigner_points=cp.getint("grids", "wigner_points"),
-                marginal_step_deg=cp.getfloat("grids", "marginal_step_deg"),
-            )
-            cat = CatSpec(
-                alpha_re=cp.getfloat("cat", "alpha_re", fallback=0.0),
-                alpha_im=cp.getfloat("cat", "alpha_im", fallback=2.5),
-                loss=cp.getfloat("cat", "loss", fallback=0.3),
-            )
-            return cls(
-                experiment=exp,
-                plan=plan,
-                mle=mle,
-                grids=grids,
-                cat=cat,
-                mode=cp.get("run", "mode", fallback=SUBTRACTION_MODE),
-                seed=cp.getint("run", "seed"),
-                bootstrap_replicas=cp.getint("run", "bootstrap_replicas", fallback=100),
-            )
+            return _read(cp, "run", cls)
         except (configparser.Error, ValueError) as exc:
-            raise ConfigError(f"invalid config value: {exc}") from exc
+            raise ConfigError(f"invalid config: {exc}") from exc
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_ini().encode("ascii")).hexdigest()

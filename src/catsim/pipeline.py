@@ -228,18 +228,7 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
         d = out / "recon" / name
         d.mkdir(parents=True, exist_ok=True)
         save_density_matrix(rho_hat, d / "density_matrix.json")
-        _write_json(
-            {
-                "iterations": diag["iterations"],
-                "final_log_likelihood": diag["final_log_likelihood"],
-                "likelihood_gap": diag["likelihood_gap"],
-                "converged": diag["converged"],
-                "monotone": diag["monotone"],
-                "warnings": diag["warnings"],
-                "log_likelihood_history": diag["log_likelihood_history"],
-            },
-            d / "diagnostics.json",
-        )
+        _write_json(diag, d / "diagnostics.json")
         files.extend([d / "density_matrix.json", d / "diagnostics.json"])
     _update_manifest(out, cfg, "reconstruct", files, time.perf_counter() - t0)
     return files
@@ -491,11 +480,19 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
                 integrity_failures.append(f"{rel} missing")
             elif _sha256(p) != digest:
                 integrity_failures.append(f"{rel} checksum mismatch")
+    physics: list[dict] = []
     try:
         summary = json.loads((out / "analysis" / "summary.json").read_text(encoding="ascii"))
     except ValueError as exc:  # not ASCII or not JSON: no physics check can read it
-        summary = None
         integrity_failures.insert(0, f"analysis/summary.json unreadable ({exc})")
+    else:
+        try:
+            if cfg.mode == CAT_PANELS_MODE:
+                physics = _cat_checks(cfg, summary)
+            else:
+                physics = _subtraction_checks(cfg, out, summary)
+        except (KeyError, TypeError) as exc:  # JSON, but not the record analyze writes
+            integrity_failures.insert(0, f"analysis/summary.json lacks its fields ({exc!r})")
     checks = [
         _check(
             "manifest_integrity",
@@ -504,12 +501,7 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
             if not integrity_failures
             else "; ".join(integrity_failures[:5]),
         )
-    ]
-    if summary is not None:
-        if cfg.mode == CAT_PANELS_MODE:
-            checks.extend(_cat_checks(cfg, summary))
-        else:
-            checks.extend(_subtraction_checks(cfg, out, summary))
+    ] + physics
 
     recon_warnings = {}
     for diag_path in sorted((out / "recon").glob("*/diagnostics.json")):

@@ -28,6 +28,23 @@ _CDF_RANGE = (-8.0, 8.0)  # covers the anti-squeezed tails of every pipeline sta
 _MIN_GRID_MASS = 0.999
 _BLOCK_ROWS = 8192  # records formatted and written at a time
 
+# the '#key=value' metadata lines of a dataset CSV, in file order: key, format, parse
+_META = (
+    ("source_id", str, str),
+    ("seed", lambda v: str(int(v)), int),
+    (
+        "phases_deg",
+        lambda v: ",".join(repr(float(t)) for t in v),
+        lambda s: [float(t) for t in s.split(",") if t],
+    ),
+    (
+        "counts_per_phase",
+        lambda v: ",".join(str(int(c)) for c in v),
+        lambda s: [int(c) for c in s.split(",") if c],
+    ),
+    ("shot_noise_variance", lambda v: repr(float(v)), float),
+)
+
 
 @dataclass(frozen=True)
 class PhasePlan:
@@ -146,17 +163,8 @@ def synth_dataset(
 
 def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
     """Write the canonical CSV: '#key=value' metadata, 'theta_deg,q' header, records."""
-    lines = []
     meta = dataset.meta
-    if "source_id" in meta:
-        lines.append(f"#source_id={meta['source_id']}")
-    if meta.get("seed") is not None:
-        lines.append(f"#seed={int(meta['seed'])}")
-    if "phases_deg" in meta:
-        lines.append("#phases_deg=" + ",".join(repr(float(t)) for t in meta["phases_deg"]))
-    if "counts_per_phase" in meta:
-        lines.append("#counts_per_phase=" + ",".join(str(int(c)) for c in meta["counts_per_phase"]))
-    lines.append(f"#shot_noise_variance={float(meta.get('shot_noise_variance', SHOT_NOISE_VARIANCE))!r}")
+    lines = [f"#{key}={fmt(meta[key])}" for key, fmt, _ in _META if meta.get(key) is not None]
     lines.append("theta_deg,q")
     # each distinct phase is formatted once; the bit pattern keeps -0.0 apart from 0.0
     bits, phase = np.unique(dataset.theta_deg.view(np.int64), return_inverse=True)
@@ -183,7 +191,7 @@ def load_dataset(path: str | Path) -> HomodyneDataset:
                 if "=" not in line:
                     raise ParseError(f"malformed metadata comment {line!r}", line_no)
                 key, _, val = line[1:].partition("=")
-                meta[key.strip()] = val.strip()
+                meta[key.strip()] = (val.strip(), line_no)
                 continue
             if not header_seen:
                 if line != "theta_deg,q":
@@ -206,13 +214,11 @@ def load_dataset(path: str | Path) -> HomodyneDataset:
     if not header_seen:
         raise SchemaError("file contains no 'theta_deg,q' header line")
     typed: dict = {}
-    if "source_id" in meta:
-        typed["source_id"] = meta["source_id"]
-    if "seed" in meta:
-        typed["seed"] = int(meta["seed"])
-    if "phases_deg" in meta:
-        typed["phases_deg"] = [float(t) for t in meta["phases_deg"].split(",") if t]
-    if "counts_per_phase" in meta:
-        typed["counts_per_phase"] = [int(c) for c in meta["counts_per_phase"].split(",") if c]
-    typed["shot_noise_variance"] = float(meta.get("shot_noise_variance", SHOT_NOISE_VARIANCE))
+    for key, _, parse in _META:
+        if key in meta:
+            text, line_no = meta[key]
+            try:
+                typed[key] = parse(text)
+            except ValueError:
+                raise ParseError(f"unreadable #{key} value {text!r}", line_no) from None
     return HomodyneDataset(np.asarray(thetas), np.asarray(values), typed)

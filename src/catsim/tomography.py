@@ -26,6 +26,7 @@ reuses the tables: w becomes how often its draw picked each record or bin.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -80,8 +81,8 @@ class MleConfig:
             raise DomainError("max_iterations must be >= 1")
         if not self.gap_tolerance > 0:
             raise DomainError("gap_tolerance must be > 0")
-        if self.bin_width is not None and self.bin_width <= 0:
-            raise DomainError("bin_width must be positive or None")
+        if self.bin_width is not None and not (0.0 < self.bin_width < math.inf):
+            raise DomainError("bin_width must be positive and finite, or None")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import configparser
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from catsim.channels import (
     loss_channel,
     lossy_number_povm,
 )
+from catsim.config import RunConfig
 from catsim.errors import DomainError, TruncationBudgetError, ZeroProbabilityError
 from catsim.fock import (
     DensityMatrix,
@@ -47,9 +49,11 @@ def test_params_validation():
         ExperimentParams(herald_n=-1)
 
 
-def test_params_flat_dict_roundtrip():
-    d = PAPER.to_flat_dict()
-    assert set(d) == {
+def test_params_ini_section_roundtrip():
+    text = RunConfig(experiment=PAPER).to_ini()
+    cp = configparser.ConfigParser()
+    cp.read_string(text)
+    assert set(cp["experiment"]) == {
         "squeeze_db",
         "opa_loss",
         "bs_reflectivity",
@@ -61,7 +65,7 @@ def test_params_flat_dict_roundtrip():
         "cutoff",
         "idler_cutoff",
     }
-    assert ExperimentParams.from_flat_dict(d) == PAPER
+    assert RunConfig.from_ini(text).experiment == PAPER
 
 
 def test_paper_defaults():

@@ -1,0 +1,157 @@
+"""The INI form of RunConfig: exact round trips, pinned preset hashes, and
+refusal of malformed text with ConfigError only."""
+
+import re
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from catsim.channels import ExperimentParams
+from catsim.cli import main as cli_main
+from catsim.config import CAT_PANELS_MODE, SUBTRACTION_MODE, CatSpec, GridSpec, RunConfig, preset
+from catsim.errors import ConfigError
+from catsim.fock import SqueezeSpec
+from catsim.sampler import PhasePlan
+from catsim.tomography import MleConfig
+
+# run directories record these hashes; a codec change must not move them
+PRESET_HASHES = {
+    "default": "7bd37d6a5204ad491d33ca4e04e5b22e30c68e587bee264376ef4268a57bee1c",
+    "lossless": "8e31c1fb7ea69d3f5a15d66e72e8f8e749ec6d48cf7edc06c4ef89c22aa37289",
+    "pure_subtraction": "870b175a07881c742e89f8dce1fcd155346afa1ccfa51e6213b3004204ebd3c0",
+    "cat_panels": "dafd5fad638907d2d4fcde4e0f64e0360ae0ac4f7b22c33fb9e1cca09c827380",
+}
+
+# the keys an INI may leave out; every other key is required
+OPTIONAL_KEYS = {"alpha_re", "alpha_im", "loss", "mode", "bootstrap_replicas"}
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(0.0, 1.0)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
+
+CONFIGS = st.builds(
+    RunConfig,
+    experiment=st.builds(
+        ExperimentParams,
+        squeeze=st.floats(0.0, 30.0).map(SqueezeSpec.from_db),
+        opa_loss=UNIT,
+        bs_reflectivity=st.floats(0.0, 1.0, exclude_min=True),
+        idler_efficiency=UNIT,
+        signal_efficiency=UNIT,
+        herald_n=st.integers(0, 20),
+        rep_rate_hz=POSITIVE,
+        duty_cycle=st.floats(0.0, 1.0, exclude_min=True),
+        cutoff=st.integers(1, 200),
+        idler_cutoff=st.integers(1, 50),
+    ),
+    plan=st.builds(
+        PhasePlan,
+        phases_deg=st.lists(FINITE, min_size=1, max_size=8).map(tuple),
+        samples_per_phase=st.integers(1, 10**9),
+    ),
+    mle=st.builds(
+        MleConfig,
+        cutoff=st.integers(1, 60),
+        max_iterations=st.integers(1, 10**6),
+        gap_tolerance=POSITIVE,
+        bin_width=st.none() | POSITIVE,
+    ),
+    grids=st.builds(
+        lambda quad, wigner, quad_points, wigner_points, step: GridSpec(
+            *quad, quad_points, *wigner, wigner_points, step
+        ),
+        BOUNDS,
+        BOUNDS,
+        st.integers(3, 10**5),
+        st.integers(3, 10**5),
+        POSITIVE,
+    ),
+    cat=st.builds(CatSpec, alpha_re=FINITE, alpha_im=FINITE, loss=UNIT),
+    mode=st.sampled_from([SUBTRACTION_MODE, CAT_PANELS_MODE]),
+    seed=st.integers(0, 2**64),
+    bootstrap_replicas=st.integers(2, 10**6),
+)
+
+
+def with_value(text: str, key: str, value: str) -> str:
+    changed, n = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    assert n == 1
+    return changed
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+def test_preset_config_hash_is_pinned(name):
+    assert preset(name).config_hash() == PRESET_HASHES[name]
+
+
+@given(CONFIGS)
+def test_generated_configs_roundtrip(cfg):
+    text = cfg.to_ini()
+    again = RunConfig.from_ini(text)
+    assert again == cfg
+    assert again.to_ini() == text
+
+
+@given(
+    st.sampled_from(sorted(PRESET_HASHES)),
+    st.data(),
+    st.text() | st.sampled_from(["nan", "inf", "-inf"]),
+)
+def test_mutated_preset_text_raises_only_config_error(name, data, noise):
+    lines = preset(name).to_ini().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if data.draw(st.booleans()):
+        del lines[i]
+    else:
+        lines[i] = f"{lines[i].partition(' = ')[0]} = {noise}"
+    try:
+        RunConfig.from_ini("\n".join(lines))
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+def test_only_cat_and_two_run_keys_may_be_missing(name):
+    lines = preset(name).to_ini().splitlines()
+    for i, line in enumerate(lines):
+        key, sep, _ = line.partition(" = ")
+        if not sep:
+            continue
+        text = "\n".join(lines[:i] + lines[i + 1 :])
+        if key not in OPTIONAL_KEYS:
+            with pytest.raises(ConfigError):
+                RunConfig.from_ini(text)
+            continue
+        cfg = RunConfig.from_ini(text)
+        owner, default = (cfg.cat, CatSpec()) if hasattr(CatSpec(), key) else (cfg, RunConfig())
+        assert getattr(owner, key) == getattr(default, key)
+    without_cat = "\n".join(lines[: lines.index("[cat]")])
+    assert RunConfig.from_ini(without_cat) == preset(name)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("marginal_step_deg", "nan", "marginal_step_deg"),
+        ("marginal_step_deg", "inf", "marginal_step_deg"),
+        ("binning", "nan", "bin_width"),
+        ("binning", "inf", "bin_width"),
+        ("rep_rate_hz", "nan", "rep_rate_hz"),
+        ("rep_rate_hz", "inf", "rep_rate_hz"),
+        ("loss", "nan", "cat needs"),
+        ("loss", "-0.1", "cat needs"),
+        ("loss", "1.5", "cat needs"),
+        ("alpha_re", "nan", "cat needs"),
+        ("alpha_im", "-inf", "cat needs"),
+    ],
+)
+def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, value, message):
+    text = with_value(preset("default").to_ini(), key, value)
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_ini(text)
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err

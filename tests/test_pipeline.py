@@ -239,6 +239,23 @@ def test_reconstruct_rejects_non_finite_phase(tmp_path, capsys):
     assert "phases must be finite" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_malformed_metadata(finished_run, tmp_path, capsys):
+    cfg, done, _, _ = finished_run
+    out = tmp_path / "meta"
+    shutil.copytree(done, out)
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    victim = out / "datasets" / "herald_0.csv"
+    pristine = victim.read_text().splitlines()
+    malformed = ["#seed=abc", "#phases_deg=1.0,x", "#counts_per_phase=1.5", "#shot_noise_variance=zz"]
+    for line in malformed:
+        key = line.partition("=")[0]
+        index = next(i for i, text in enumerate(pristine) if text.startswith(key + "="))
+        victim.write_text("\n".join(pristine[:index] + [line] + pristine[index + 1 :]) + "\n")
+        assert cli_main(["reconstruct", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert f"line {index + 1}: unreadable {key} value" in capsys.readouterr().err
+
+
 def test_reconstruct_reads_only_datasets(tmp_path):
     # stage isolation: after deleting every simulated state file, the
     # reconstruction still runs purely from the sampled records
@@ -311,6 +328,21 @@ def test_corrupt_summary_fails_integrity(tmp_path, capsys):
     assert [c["check"] for c in payload["checks"]] == ["manifest_integrity"]
     assert not payload["checks"][0]["passed"]
     assert "analysis/summary.json unreadable" in payload["checks"][0]["detail"]
+    assert "FAIL  manifest_integrity" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["{}", "[]", '{"states": {}}'])
+def test_summary_without_its_fields_fails_integrity(finished_run, tmp_path, capsys, text):
+    cfg, done, _, _ = finished_run
+    out = tmp_path / "s"
+    shutil.copytree(done, out)
+    (out / "analysis" / "summary.json").write_text(text)
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    payload = json.loads((out / "report" / "report.json").read_text())
+    assert [c["check"] for c in payload["checks"]] == ["manifest_integrity"]
+    assert "analysis/summary.json lacks its fields" in payload["checks"][0]["detail"]
     assert "FAIL  manifest_integrity" in capsys.readouterr().out
 
 

@@ -240,6 +240,24 @@ def test_malformed_records(tmp_path):
         load_dataset(path)
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["#seed=abc", "#phases_deg=1.0,x", "#counts_per_phase=1.5", "#shot_noise_variance=zz"],
+)
+def test_malformed_metadata_names_its_line(tmp_path, line):
+    ds = synth_dataset(vacuum_dm(), PhasePlan(phases_deg=(0.0, 1.0), samples_per_phase=3), seed=1)
+    path = tmp_path / "meta.csv"
+    save_dataset(ds, path)
+    lines = path.read_text().splitlines()
+    key = line.partition("=")[0]
+    index = next(i for i, text in enumerate(lines) if text.startswith(key + "="))
+    lines[index] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=key) as err:
+        load_dataset(path)
+    assert err.value.line_number == index + 1
+
+
 def test_non_finite_phase_token_rejected(tmp_path):
     path = tmp_path / "nan_theta.csv"
     path.write_text("theta_deg,q\n0.0,0.5\nnan,0.4\n")
