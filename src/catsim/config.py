@@ -62,6 +62,9 @@ class GridSpec:
     def __post_init__(self):
         if self.quad_points < 3 or self.wigner_points < 3:
             raise ConfigError("grids need at least 3 points per axis")
+        bounds = (self.quad_min, self.quad_max, self.wigner_min, self.wigner_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ConfigError(f"grid bounds must be finite, got {bounds}")
         if self.quad_min >= self.quad_max or self.wigner_min >= self.wigner_max:
             raise ConfigError("grid bounds must be increasing")
         if not (0.0 < self.marginal_step_deg < math.inf):

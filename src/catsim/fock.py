@@ -54,8 +54,8 @@ class SqueezeSpec:
     r: float
 
     def __post_init__(self):
-        if not (self.r >= 0.0):
-            raise DomainError(f"squeezing parameter must be >= 0, got {self.r}")
+        if not (0.0 <= self.r < math.inf):
+            raise DomainError(f"squeezing parameter must be finite and >= 0, got {self.r}")
 
     @classmethod
     def from_r(cls, r: float) -> "SqueezeSpec":
@@ -63,8 +63,8 @@ class SqueezeSpec:
 
     @classmethod
     def from_db(cls, level_db: float) -> "SqueezeSpec":
-        if level_db < 0.0:
-            raise DomainError(f"squeezing level must be >= 0 dB, got {level_db}")
+        if not (0.0 <= level_db < math.inf):
+            raise DomainError(f"squeezing level must be finite and >= 0 dB, got {level_db}")
         return cls(r=float(level_db) * _R_PER_DB)
 
     @property

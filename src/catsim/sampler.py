@@ -59,6 +59,8 @@ class PhasePlan:
         if self.samples_per_phase < 1:
             raise DomainError("samples_per_phase must be >= 1")
         object.__setattr__(self, "phases_deg", tuple(float(t) for t in self.phases_deg))
+        if not np.all(np.isfinite(self.phases_deg)):
+            raise DomainError(f"phases_deg must be finite, got {self.phases_deg}")
 
 
 @dataclass

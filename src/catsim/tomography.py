@@ -79,8 +79,8 @@ class MleConfig:
             raise DomainError("cutoff must be >= 1")
         if self.max_iterations < 1:
             raise DomainError("max_iterations must be >= 1")
-        if not self.gap_tolerance > 0:
-            raise DomainError("gap_tolerance must be > 0")
+        if not (0.0 < self.gap_tolerance < math.inf):
+            raise DomainError("gap_tolerance must be positive and finite")
         if self.bin_width is not None and not (0.0 < self.bin_width < math.inf):
             raise DomainError("bin_width must be positive and finite, or None")
 

@@ -145,6 +145,13 @@ def test_only_cat_and_two_run_keys_may_be_missing(name):
         ("loss", "1.5", "cat needs"),
         ("alpha_re", "nan", "cat needs"),
         ("alpha_im", "-inf", "cat needs"),
+        ("wigner_max", "inf", "grid bounds must be finite"),
+        ("wigner_min", "nan", "grid bounds must be finite"),
+        ("quad_min", "-inf", "grid bounds must be finite"),
+        ("squeeze_db", "inf", "squeezing level"),
+        ("squeeze_db", "nan", "squeezing level"),
+        ("phases_deg", "0.0, nan", "phases_deg must be finite"),
+        ("phases_deg", "0.0, inf", "phases_deg must be finite"),
     ],
 )
 def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, value, message):

@@ -114,7 +114,7 @@ def test_config_refuses_the_replaced_tolerance_key():
         RunConfig.from_ini(both)
 
 
-@pytest.mark.parametrize("value", ["0.0", "-0.001", "nan"])
+@pytest.mark.parametrize("value", ["0.0", "-0.001", "nan", "inf"])
 def test_config_rejects_non_positive_gap_tolerance(value):
     text = light_config().to_ini().replace("gap_tolerance = 0.001", f"gap_tolerance = {value}")
     with pytest.raises(ConfigError, match="gap_tolerance"):

@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
+from catsim import tes
 from catsim.errors import DomainError, SaturationWarning
 from catsim.tes import (
+    BLOCK_TRIALS,
+    PEAK_WINDOW_SIGMAS,
     ConfusionMatrix,
     TesParams,
+    _heights_from_traces,
+    _peak_window,
     adjacent_confusion_estimate,
     classify_pulse,
     confusion,
@@ -25,6 +30,17 @@ def test_params_validation():
         TesParams(decay_tau_ns=0.0)
     with pytest.raises(DomainError):
         TesParams(samples_per_trace=4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["photon_energy_ev", "energy_resolution_ev", "decay_tau_ns", "rise_tau_ns",
+     "rep_period_ns", "noise_floor"],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_params_refuse_non_finite_values(name, value):
+    with pytest.raises(DomainError, match=name):
+        TesParams(**{name: value})
 
 
 def test_sigma_interpretation_flag():
@@ -152,3 +168,74 @@ def test_trace_determinism():
     a = pulse_trace(3, DEFAULTS, seed=5)
     b = pulse_trace(3, DEFAULTS, seed=5)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_peak_window_heights_equal_full_trace_heights(n):
+    params = DEFAULTS
+    sigma = params.noise_floor
+    shape = params.pulse_shape()
+    rng = np.random.default_rng(100 + n)
+    heights = n + rng.normal(0.0, params.sigma_ev / params.photon_energy_ev, BLOCK_TRIALS)
+    noise = rng.normal(0.0, sigma, (BLOCK_TRIALS, shape.size))
+    cols = _peak_window(params, heights.min())
+    pulse = cols[cols >= params.onset_index]
+    assert np.array_equal(pulse, np.arange(pulse[0], pulse[-1] + 1))
+    assert params.onset_index < pulse[0] and pulse[-1] + 1 < shape.size  # a real cut
+    outside = np.setdiff1d(np.arange(shape.size), cols)
+    full = heights[:, None] * shape + noise
+    windowed = heights[:, None] * shape[cols] + noise[:, cols]
+    assert np.array_equal(_heights_from_traces(windowed, params), _heights_from_traces(full, params))
+
+    def windowed_and_full(z):
+        # on the lowest pulses: z sigma down on the window's pulse columns (the
+        # peak and both edges among them), z sigma up on every column left out
+        planted = noise.copy()
+        rows = heights.argsort()[:20, None]
+        planted[rows, pulse] = -z * sigma
+        planted[rows, outside] = z * sigma
+        windowed = heights[:, None] * shape[cols] + planted[:, cols]
+        full = heights[:, None] * shape + planted
+        return _heights_from_traces(windowed, params), _heights_from_traces(full, params)
+
+    assert np.array_equal(*windowed_and_full(PEAK_WINDOW_SIGMAS - 1e-6))
+    # one sigma further, a column left out takes the maximum: the bound is tight
+    assert not np.array_equal(*windowed_and_full(PEAK_WINDOW_SIGMAS + 1.0))
+
+
+def test_noiseless_window_is_baseline_and_peak():
+    peak = int(QUIET.pulse_shape().argmax())
+    assert _peak_window(QUIET, 0.5).tolist() == [*range(QUIET.onset_index), peak]
+    assert _peak_window(QUIET, 0.0).size == QUIET.samples_per_trace
+    assert _peak_window(DEFAULTS, -0.1).size == DEFAULTS.samples_per_trace
+
+
+def test_confusion_is_independent_of_thread_count(monkeypatch):
+    params = TesParams(energy_resolution_ev=0.4)
+    runs = []
+    for threads in (1, 2, 3, 3):
+        monkeypatch.setattr(tes, "_cpu_count", lambda: threads)
+        runs.append(confusion(params, 3, 10_003, seed=5).matrix.tobytes())
+    assert len(set(runs)) == 1
+    assert confusion(params, 3, 10_003, seed=6).matrix.tobytes() != runs[0]
+
+
+def test_confusion_equals_full_trace_estimator_on_the_same_streams():
+    params = TesParams(noise_floor=0.15)
+    n_max, trials, seed = 2, 5_001, 9
+    shape = params.pulse_shape()
+    assert _peak_window(params, n_max).size == shape.size  # every block draws the whole trace
+    sigma_rel = params.sigma_ev / params.photon_energy_ev
+    per_row = -(-trials // (n_max + 1))
+    counts = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+    for n in range(n_max + 1):
+        for k, start in enumerate(range(0, per_row, BLOCK_TRIALS)):
+            size = min(BLOCK_TRIALS, per_row - start)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, k)))
+            heights = np.zeros(size) if n == 0 else n + rng.normal(0.0, sigma_rel, size)
+            traces = heights[:, None] * shape + rng.normal(0.0, params.noise_floor, (size, shape.size))
+            est = np.clip(np.floor(_heights_from_traces(traces, params) + 0.5).astype(int), 0, n_max)
+            counts[n] += np.bincount(est, minlength=n_max + 1)
+    want = counts / per_row
+    assert 0.01 < want[0, 1] < 0.99  # the noise misassigns: the comparison has content
+    assert confusion(params, n_max, trials, seed).matrix.tobytes() == want.tobytes()

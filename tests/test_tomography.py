@@ -330,7 +330,7 @@ def test_nonconvergence_warning_and_best_iterate():
     assert np.trace(rho_hat.elements).real == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1e-3, float("nan")])
+@pytest.mark.parametrize("tolerance", [0.0, -1e-3, float("nan"), float("inf")])
 def test_gap_tolerance_must_be_positive(tolerance):
     with pytest.raises(DomainError, match="gap_tolerance"):
         MleConfig(gap_tolerance=tolerance)
