@@ -2,9 +2,10 @@
 discrimination quality.
 
 Traces are expressed in units of the single-photon pulse height. Absorbing n
-photons produces a double-exponential pulse whose height carries one Gaussian
-energy-resolution jitter draw per pulse; white trace noise sits on top. A
-trace is classified by its maximum minus the median of its pre-onset samples.
+photons produces a double-exponential pulse whose height h carries one
+Gaussian energy-resolution jitter draw per pulse; white trace noise sits on
+top. A trace is classified by its maximum minus the median of its pre-onset
+samples, rounded to the nearest integer.
 
 `confusion` estimates the classifier's confusion matrix by Monte Carlo. Each
 true photon number's pulses are split into blocks of BLOCK_TRIALS, and block
@@ -14,21 +15,43 @@ thread per usable CPU (numpy releases the interpreter lock while it fills
 arrays); their counts are integers summed per row, so the matrix depends only
 on the arguments and not on the thread count.
 
-Within a block, noise is drawn only on the columns that can hold the maximum.
-With h_min the smallest pulse height in the block and s the unit pulse
-shape, a column i with h_min·(1 − s_i) > 2·K·noise_floor (K =
-PEAK_WINDOW_SIGMAS = 20) sits more than 2K noise sigmas below the peak
-column, so it could only exceed the peak sample if one of the two noise
-draws lay beyond K sigma. That has probability below 1e-88, and numpy's
-ziggurat sampler cannot produce such a draw at all (its tail step caps |z|
-near 12.2). Dropping those columns therefore leaves every maximum, and so
-every classified height, unchanged. The pre-onset columns are always kept
-for the baseline median, and a block with h_min <= 0 keeps every column.
+Noise is drawn only where it can change a result, by one bound: no noise
+sample lies beyond r = K·noise_floor (K = PEAK_WINDOW_SIGMAS = 20). A draw
+beyond K sigma has probability below 1e-88, and numpy's ziggurat sampler
+cannot produce one at all (its tail step caps |z| near 12.2).
+
+Whole pulses. The unit pulse shape s has its peak sample exactly 1.0, every
+other sample in [0, 1], and its pre-onset samples exactly 0. So with every
+|z| <= r the trace maximum lies in [h+ - r, h+ + r], where h+ = max(h, 0)
+(for h <= 0 the baseline samples, not the pulse, set the maximum), and the
+baseline median lies in [-r, r]: the classified height lies in
+[h+ - 2r, h+ + 2r]. Each rounding step is monotone, so evaluating
+floor(h+ - r - r + 0.5) and floor(h+ + r + r + 0.5) in the classifier's own
+float operations brackets its class. Where the two ends, clipped to
+0..n_max, agree, the pulse is decided: its class is recorded and no trace is
+drawn. With noise_floor = 0 every pulse is decided.
+
+Trace columns. The remaining, open, pulses of a block share one noise draw
+over the columns that can hold their maximum. With h_min the smallest open
+height, a column i with h_min·(1 - s_i) > 2r sits more than 2K noise sigmas
+below the peak column, so it could only exceed the peak sample if a draw lay
+beyond K sigma. Dropping those columns leaves every maximum unchanged. The
+pre-onset columns are always kept for the baseline median, and h_min <= 0
+keeps every column.
+
+Streams. Each block draws its pulse heights (rows n >= 1) and then one
+normal array of shape (open pulses, window columns). When every pulse is
+open, as at a large noise_floor, that is exactly the draw of a classifier
+that decides nothing; with noise_floor = 0 no noise is drawn at all. In
+between, only the open pulses consume noise, so the matrix is a different
+Monte Carlo sample of the same distribution.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,7 +65,17 @@ from .errors import DomainError, SaturationWarning
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 BLOCK_TRIALS = 1000  # pulses per seeded block; small blocks keep peak memory low
-PEAK_WINDOW_SIGMAS = 20  # K: columns more than 2K noise sigmas below the peak are not drawn
+PEAK_WINDOW_SIGMAS = 20  # K: no noise draw lies beyond K sigma (see the module docstring)
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; DomainError for a bool or anything that is not an integer."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -60,14 +93,23 @@ class TesParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if f.type == "int":
+                _integer(value, f.name)
+            elif f.type == "bool" and not isinstance(value, (bool, np.bool_)):
+                raise DomainError(f"{f.name} must be True or False, got {value!r}")
+            elif f.type == "float" and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise DomainError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("photon_energy_ev", "energy_resolution_ev", "decay_tau_ns",
                      "rep_period_ns"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-        if self.rise_tau_ns < 0:
-            raise DomainError("rise_tau_ns must be >= 0 (0 means an instantaneous rise)")
+        if not 0 <= self.rise_tau_ns < self.decay_tau_ns:
+            raise DomainError(
+                "rise_tau_ns must be >= 0 (0 means an instantaneous rise) and below decay_tau_ns"
+            )
         if self.samples_per_trace < 8:
             raise DomainError("samples_per_trace must be >= 8")
         if self.noise_floor < 0:
@@ -106,6 +148,7 @@ class TesParams:
 
 def pulse_trace(n_photons: int, params: TesParams, seed: int | None = None) -> np.ndarray:
     """One digitized trace for n absorbed photons; deterministic per seed."""
+    n_photons = _integer(n_photons, "photon number")
     if n_photons < 0:
         raise DomainError("photon number must be >= 0")
     rng = np.random.default_rng(seed)
@@ -189,10 +232,12 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _peak_window(params: TesParams, h_min: float) -> np.ndarray:
+def _peak_window(params: TesParams, h_min: float, shape: np.ndarray | None = None) -> np.ndarray:
     """Sorted trace columns that can hold the maximum of a pulse of height >= h_min,
-    plus the pre-onset columns; every column when h_min <= 0."""
-    shape = params.pulse_shape()
+    plus the pre-onset columns; every column when h_min <= 0. `shape` is
+    params.pulse_shape(), passed in by callers that already hold it."""
+    if shape is None:
+        shape = params.pulse_shape()
     if h_min <= 0:
         return np.arange(shape.size)
     keep = h_min * (1.0 - shape) <= 2 * PEAK_WINDOW_SIGMAS * params.noise_floor
@@ -200,35 +245,64 @@ def _peak_window(params: TesParams, h_min: float) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _block_counts(params: TesParams, n_max: int, n: int, k: int, size: int,
-                  entropy: int) -> np.ndarray:
-    """Assignment counts of block k of true photon number n, on its own stream."""
+def _classes(heights: np.ndarray, n_max: int) -> np.ndarray:
+    """Nearest-integer classes of classified heights, clipped to 0..n_max (as floats)."""
+    return np.clip(np.floor(heights + 0.5), 0, n_max)
+
+
+def _decide(params: TesParams, heights: np.ndarray, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each pulse of true height h under any noise within K sigma, and
+    the mask of open pulses, whose class that noise can change.
+
+    The two ends h+ - 2r and h+ + 2r (r = K·noise_floor) are evaluated in the
+    order of the classifier's own float operations, so the bracket holds
+    after rounding too (see the module docstring).
+    """
+    reach = PEAK_WINDOW_SIGMAS * params.noise_floor
+    top = np.maximum(heights, 0.0)
+    est = _classes(top - reach - reach, n_max)
+    return est, est != _classes(top + reach + reach, n_max)
+
+
+def _block_counts(params: TesParams, shape: np.ndarray, n_max: int, n: int, k: int,
+                  size: int, entropy: int) -> np.ndarray:
+    """Assignment counts of block k of true photon number n, on its own stream;
+    only the open pulses draw noise, on their peak window."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(n, k)))
     sigma_rel = params.sigma_ev / params.photon_energy_ev
     heights = np.zeros(size) if n == 0 else n + rng.normal(0.0, sigma_rel, size)
-    cols = _peak_window(params, heights.min())
-    traces = heights[:, None] * params.pulse_shape()[cols]
-    if params.noise_floor > 0:
+    est, is_open = _decide(params, heights, n_max)
+    if is_open.any():
+        open_heights = heights[is_open]
+        cols = _peak_window(params, open_heights.min(), shape)
+        traces = open_heights[:, None] * shape[cols]
         traces += rng.normal(0.0, params.noise_floor, traces.shape)
-    est = np.floor(_heights_from_traces(traces, params) + 0.5).astype(int)
-    np.clip(est, 0, n_max, out=est)
-    return np.bincount(est, minlength=n_max + 1)
+        est[is_open] = _classes(_heights_from_traces(traces, params), n_max)
+    return np.bincount(est.astype(int), minlength=n_max + 1)
 
 
 def confusion(params: TesParams, n_max: int, trials: int, seed: int = 0) -> ConfusionMatrix:
     """Monte Carlo confusion matrix over `trials` pulses split evenly across
     true photon numbers 0..n_max (rounded up to a whole number per row).
 
-    Each row runs in blocks of BLOCK_TRIALS pulses on seeded per-block streams,
-    with noise drawn only in each block's peak window (see the module
-    docstring); the result is the same for any number of threads.
+    Each row runs in blocks of BLOCK_TRIALS pulses on seeded per-block
+    streams. A pulse whose class noise within K sigma cannot change (its
+    height h+ = max(h, 0) rounds to the same class at h+ - 2r and h+ + 2r,
+    r = K·noise_floor) is classified from its height alone. The rest draw
+    noise only in their peak window. With noise_floor = 0 no noise is drawn;
+    when no pulse is decided, the draws are those of the full-trace
+    estimator. The result is the same for any number of threads (see the
+    module docstring).
     """
+    n_max = _integer(n_max, "n_max")
+    trials = _integer(trials, "trials")
     if trials < 1000:
         raise DomainError("trials must be >= 1000 for a meaningful estimate")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
     per_row = -(-trials // (n_max + 1))  # ceil split
     entropy = np.random.SeedSequence(seed).entropy
+    shape = params.pulse_shape()
     blocks = [
         (n, k, min(BLOCK_TRIALS, per_row - start))
         for n in range(n_max + 1)
@@ -240,7 +314,7 @@ def confusion(params: TesParams, n_max: int, trials: int, seed: int = 0) -> Conf
         # one task per thread, not per block: a pending future costs about 2 kB
         part = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
         for n, k, size in blocks[first::threads]:
-            part[n] += _block_counts(params, n_max, n, k, size, entropy)
+            part[n] += _block_counts(params, shape, n_max, n, k, size, entropy)
         return part
 
     with ThreadPoolExecutor(max_workers=threads) as pool:

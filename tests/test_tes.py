@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from catsim import tes
@@ -11,6 +13,8 @@ from catsim.tes import (
     PEAK_WINDOW_SIGMAS,
     ConfusionMatrix,
     TesParams,
+    _classes,
+    _decide,
     _heights_from_traces,
     _peak_window,
     adjacent_confusion_estimate,
@@ -41,6 +45,49 @@ def test_params_validation():
 def test_params_refuse_non_finite_values(name, value):
     with pytest.raises(DomainError, match=name):
         TesParams(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("samples_per_trace", 400.5),
+        ("samples_per_trace", 400.0),
+        ("samples_per_trace", "400"),
+        ("samples_per_trace", True),
+        ("resolution_is_fwhm", "no"),
+        ("resolution_is_fwhm", 0),
+        ("resolution_is_fwhm", None),
+        ("noise_floor", "0.01"),
+        ("rise_tau_ns", None),
+    ],
+)
+def test_params_refuse_wrong_types(name, value):
+    with pytest.raises(DomainError, match=name):
+        TesParams(**{name: value})
+
+
+@pytest.mark.parametrize("rise", [107.0, 200.0])
+def test_params_refuse_rise_not_below_decay(rise):
+    # the double exponential is normalized by its maximum, which needs rise < decay
+    with pytest.raises(DomainError, match="rise_tau_ns"):
+        TesParams(rise_tau_ns=rise)
+
+
+def test_params_accept_numpy_scalars():
+    params = TesParams(samples_per_trace=np.int64(200), resolution_is_fwhm=np.bool_(False),
+                       noise_floor=np.float64(0.02))
+    assert params.pulse_shape().shape == (200,)
+    assert params.sigma_ev == params.energy_resolution_ev
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
+def test_pulse_trace_refuses_non_integer_photon_numbers(n):
+    with pytest.raises(DomainError, match="photon number"):
+        pulse_trace(n, DEFAULTS, seed=0)
+
+
+def test_pulse_trace_accepts_numpy_integers():
+    assert pulse_trace(np.int64(3), DEFAULTS, seed=5).tobytes() == pulse_trace(3, DEFAULTS, seed=5).tobytes()
 
 
 def test_sigma_interpretation_flag():
@@ -153,6 +200,22 @@ def test_confusion_requires_enough_trials():
         confusion(DEFAULTS, n_max=2, trials=10, seed=0)
 
 
+@pytest.mark.parametrize(
+    "n_max, trials, name",
+    [(4, 1e6, "trials"), (4, 10_000.0, "trials"), (4.0, 10_000, "n_max"), ("4", 10_000, "n_max"),
+     (True, 10_000, "n_max")],
+)
+def test_confusion_refuses_non_integer_counts(n_max, trials, name):
+    with pytest.raises(DomainError, match=name):
+        confusion(DEFAULTS, n_max, trials, seed=0)
+
+
+def test_confusion_accepts_numpy_integers():
+    params = TesParams(energy_resolution_ev=0.4)
+    want = confusion(params, 2, 3000, seed=4).matrix.tobytes()
+    assert confusion(params, np.int64(2), np.int32(3000), seed=4).matrix.tobytes() == want
+
+
 def test_confusion_matrix_validation_and_csv(tmp_path):
     with pytest.raises(DomainError):
         ConfusionMatrix(np.array([[0.5, 0.2], [0.0, 1.0]]), 1)
@@ -239,3 +302,100 @@ def test_confusion_equals_full_trace_estimator_on_the_same_streams():
     want = counts / per_row
     assert 0.01 < want[0, 1] < 0.99  # the noise misassigns: the comparison has content
     assert confusion(params, n_max, trials, seed).matrix.tobytes() == want.tobytes()
+
+
+def _planted(params, heights, z, pattern):
+    """Full-trace classified heights of the given pulses with noise of size z:
+    'up' makes the height h+ + 2z, 'down' pulls the peak down and the baseline
+    up, 'random' is uniform in [-z, z]."""
+    shape = params.pulse_shape()
+    onset = params.onset_index
+    noise = np.empty((heights.size, shape.size))
+    if pattern == "up":
+        noise[:] = z
+        noise[:, 1:onset] = -z  # one baseline column at +z keeps max >= z when h <= 0
+    elif pattern == "down":
+        noise[:] = -z
+        noise[:, :onset] = z
+    else:
+        noise = np.random.default_rng(0).uniform(-z, z, noise.shape)
+    return _heights_from_traces(heights[:, None] * shape + noise, params)
+
+
+DECISION_HEIGHTS = np.array(
+    [-0.3, -0.05, 0.0, 0.04, 0.3, 0.75, 0.9, 0.99, 1.0, 1.0999, 1.25, 1.7, 2.05, 2.5, 3.91, 4.3, 6.2]
+)
+
+
+@pytest.mark.parametrize("pattern", ["up", "down", "random"])
+def test_decided_pulses_keep_their_class_under_noise_within_the_bound(pattern):
+    params = DEFAULTS  # 2·K·noise_floor = 0.4
+    sigma = params.noise_floor
+    n_max = 4
+    est, is_open = _decide(params, DECISION_HEIGHTS, n_max)
+    decided = ~is_open
+    assert decided[DECISION_HEIGHTS <= 0].all() and is_open.any()  # h <= 0 is decided here
+    z = (PEAK_WINDOW_SIGMAS - 1e-6) * sigma
+    heights = DECISION_HEIGHTS[decided]
+    full = _classes(_planted(params, heights, z, pattern), n_max)
+    assert np.array_equal(full, est[decided])
+
+
+def test_pulse_decision_bound_is_tight():
+    # h = 1.0999 is decided as class 1 with 0.0001 to spare; one sigma past the
+    # bound the planted noise lifts its full-trace height past 1.5
+    params = DEFAULTS
+    heights = np.array([1.0999])
+    est, is_open = _decide(params, heights, 4)
+    assert not is_open[0] and est[0] == 1
+    z = (PEAK_WINDOW_SIGMAS + 1.0) * params.noise_floor
+    assert _classes(_planted(params, heights, z, "up"), 4)[0] == 2
+
+
+def test_non_positive_height_is_open_when_the_bound_reaches_half_a_photon():
+    # 2·K·noise_floor = 0.6: h = -0.2 would look decided as class 0 from h itself, but
+    # the baseline sets the maximum, and noise within the bound lifts the height to 0.6
+    params = TesParams(noise_floor=0.015)
+    heights = np.array([-0.2, 0.0])
+    est, is_open = _decide(params, heights, 4)
+    assert is_open.all()
+    z = (PEAK_WINDOW_SIGMAS - 1e-6) * params.noise_floor
+    assert np.array_equal(_classes(_planted(params, heights, z, "up"), 4), [1, 1])
+
+
+def test_noiseless_confusion_equals_full_trace_estimator_on_the_same_streams():
+    params = TesParams(energy_resolution_ev=0.4, noise_floor=0.0)
+    n_max, trials, seed = 3, 6_001, 11
+    shape = params.pulse_shape()
+    sigma_rel = params.sigma_ev / params.photon_energy_ev
+    per_row = -(-trials // (n_max + 1))
+    counts = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
+    for n in range(n_max + 1):
+        for k, start in enumerate(range(0, per_row, BLOCK_TRIALS)):
+            size = min(BLOCK_TRIALS, per_row - start)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n, k)))
+            heights = np.zeros(size) if n == 0 else n + rng.normal(0.0, sigma_rel, size)
+            traces = heights[:, None] * shape
+            est = np.clip(np.floor(_heights_from_traces(traces, params) + 0.5).astype(int), 0, n_max)
+            counts[n] += np.bincount(est, minlength=n_max + 1)
+    want = counts / per_row
+    assert 0.001 < want[1, 2] < 0.1  # the jitter misassigns: the comparison has content
+    assert confusion(params, n_max, trials, seed).matrix.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    noise_floor=st.floats(0.0, 0.05),
+    resolution=st.floats(1e-3, 0.7),
+    n_max=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_confusion_rows_sum_to_one_and_ignore_thread_count(noise_floor, resolution, n_max, seed):
+    params = TesParams(energy_resolution_ev=resolution, noise_floor=noise_floor)
+    runs = []
+    for threads in (1, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tes, "_cpu_count", lambda: threads)
+            runs.append(confusion(params, n_max, 3000, seed).matrix)
+    assert np.allclose(runs[0].sum(axis=1), 1.0, atol=1e-12)
+    assert runs[0].tobytes() == runs[1].tobytes()
