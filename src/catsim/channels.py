@@ -195,19 +195,34 @@ def _tapped_branches(
 
     The source state after the OPA loss is mixed; each eigenvector is sent
     through the beam splitter separately, giving (weight, two-mode amplitude
-    matrix) pairs over which heralding outcomes are summed.
+    matrix) pairs over which heralding outcomes are summed, heaviest first.
+
+    A squeezed vacuum after pure loss has exact zeros wherever n - m is odd,
+    so it is the direct sum of its even-n and odd-n blocks. Each block is
+    eigendecomposed on its own: a full `eigh` would mix the blocks at
+    round-off, while per-block eigenvectors keep every conditioned state
+    exactly zero between even and odd photon numbers.
     """
     psi = squeezed_vacuum(params.squeeze, config, tail_tol)
-    rho = loss_channel(psi.to_density(), 1.0 - params.opa_loss)
-    vals, vecs = np.linalg.eigh(np.asarray(rho.elements))
+    rho = np.asarray(loss_channel(psi.to_density(), 1.0 - params.opa_loss).elements)
+    n = np.arange(config.dim)
+    if np.any(rho[(n[:, None] + n[None, :]) % 2 == 1]):
+        raise DomainError("the source couples even and odd photon numbers")
+    pure = []
+    for block in (n[0::2], n[1::2]):
+        vals, vecs = np.linalg.eigh(rho[np.ix_(block, block)])
+        for w, v in zip(vals, vecs.T):
+            if w >= _EIGENBRANCH_FLOOR:
+                full = np.zeros(config.dim, dtype=vecs.dtype)
+                full[block] = v
+                pure.append((float(w), full))
+    pure.sort(key=lambda branch: -branch[0])
     branches = []
-    for w, v in zip(vals[::-1], vecs.T[::-1]):
-        if w < _EIGENBRANCH_FLOOR:
-            continue
+    for w, v in pure:
         two_mode = beamsplitter_join(
             StateVector.normalize(v, config), params.bs_reflectivity, params.idler_cutoff
         )
-        branches.append((float(w), two_mode.amplitudes))
+        branches.append((w, two_mode.amplitudes))
     return branches
 
 

@@ -1,9 +1,11 @@
 """CSV rows for the stage outputs, formatted in batches.
 
 Every value is written as `repr` of a Python float, so it reads back
-exactly. A column shared by many rows (an axis, a phase) is formatted once
-and reused; rows are written block by block, so no more than one block's
-strings are held at a time.
+exactly. Each distinct value of a batch is formatted once: a phase-space
+grid repeats most of its values (a Hermitian table its mirror half, a
+parity-definite state's imaginary part is all zeros), and a column shared
+by many rows (an axis) is formatted once and reused. Rows are written block
+by block, so no more than one block's rows are joined at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 def fields(values) -> list[str]:
-    """Exact round-trip text of each value, as `repr(float(v))` gives it."""
-    return list(map(repr, np.asarray(values, dtype=float).ravel().tolist()))
+    """Exact round-trip text of each value, as `repr(float(v))` gives it.
+
+    Each distinct bit pattern is formatted once, so -0.0 stays apart from 0.0.
+    """
+    flat = np.ascontiguousarray(np.asarray(values, dtype=float).ravel())
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(float).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def write_rows(path: str | Path, head: Sequence[str], blocks: Iterable[Sequence]) -> None:

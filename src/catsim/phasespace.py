@@ -12,7 +12,14 @@ Both grid pictures are evaluated without per-element special functions:
   Nation, Nori, CPC 184, 1234 (2013)).
 - A marginal sweep over many angles is one matrix product: psi_n(q) does not
   depend on theta, so Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q) with
-  B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q) built once per state.
+  B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q) built once per state. A
+  single marginal is the one-angle case.
+
+rho(q, q') is built in real arithmetic from the same real table psi_n(q),
+symmetrised so that it is exactly Hermitian. At theta = 0 and pi/2 the phase
+factors e^{i n theta} are exact (1 and i^n), so a real state whose elements
+vanish wherever n - m is odd, as every model state does, gets an imaginary
+part of exact zeros there.
 """
 
 from __future__ import annotations
@@ -203,23 +210,68 @@ def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
     raise ConvergenceError("Wigner quadrature did not converge under grid refinement")
 
 
+def _phase_factors(theta: float, dim: int) -> np.ndarray:
+    """u_n = e^{i n theta} for n < dim; exactly i^n at theta = pi/2 and 1 at theta = 0."""
+    n = np.arange(dim)
+    if theta == 0.0:
+        return np.ones(dim, dtype=complex)
+    if theta == math.pi / 2:
+        return np.array([1.0, 1j, -1.0, -1j])[n % 4]
+    return np.exp(1j * n * theta)
+
+
 def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> QuadDensityMatrix:
     """Density matrix in the rotated quadrature basis.
 
     rho(q, q') = sum_{n,m} <q_theta|n> rho_{n,m} <m|q'_theta>, with theta = 0
-    the position basis and theta = pi/2 the momentum basis.
+    the position basis and theta = pi/2 the momentum basis. With
+    psi[n, i] = psi_n(q_i) real and M = U^† rho U, U = diag(e^{i n theta}),
+    the table is psi^T Re(M) psi + i psi^T Im(M) psi, in real arithmetic.
+    The real part is symmetrised and the imaginary part antisymmetrised, so
+    the table is exactly Hermitian. The imaginary part is computed only when
+    Im(M) has a nonzero element; otherwise it is exact +0.0. With the exact
+    phase factors that holds for any real rho at theta = 0, and at theta =
+    pi/2 for a real rho that vanishes wherever n - m is odd.
     """
     q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    w = quadrature_basis(rho.config.cutoff, q, theta)  # w[n, i] = <n|q_i>
-    values = w.conj().T @ np.asarray(rho.elements) @ w
+    elements = np.asarray(rho.elements)
+    dim = elements.shape[0]
+    psi = hermite_functions(dim - 1, q)
+    u = _phase_factors(theta, dim)
+    m = u.conj()[:, None] * elements * u[None, :]
+    values = np.zeros((q.size, q.size), dtype=complex)
+    re = psi.T @ m.real @ psi
+    values.real = 0.5 * (re + re.T)
+    if np.any(m.imag):
+        im = psi.T @ m.imag @ psi
+        values.imag = 0.5 * (im - im.T)
     return QuadDensityMatrix(axis=q, values=values, theta=theta)
 
 
+def _sweep(rho: DensityMatrix, thetas: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Pr(q | theta) for each theta (radians), one row per angle."""
+    elements = np.asarray(rho.elements)
+    dim = elements.shape[0]
+    parts = [elements.real] + ([elements.imag] if np.any(elements.imag) else [])
+    psi = hermite_functions(dim - 1, q)
+    bands = np.empty((len(parts), dim, q.size))  # Re B_d, then Im B_d if rho is complex
+    for d in range(dim):
+        product = psi[: dim - d] * psi[d:]
+        for band, part in zip(bands, parts):
+            band[d] = np.diagonal(part, d) @ product
+    phases = np.stack([_phase_factors(float(t), dim) for t in thetas])
+    phases[:, 1:] *= 2.0
+    # Re(c B) = Re(c) Re(B) - Im(c) Im(B), all in real arithmetic
+    out = phases.real @ bands[0]
+    if len(parts) == 2:
+        out -= phases.imag @ bands[1]
+    return out
+
+
 def marginal(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> np.ndarray:
-    """Probability density Pr(q | theta), the diagonal of rho_quad."""
+    """Probability density Pr(q | theta), the diagonal of rho_quad: one angle of the sweep."""
     q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    w = quadrature_basis(rho.config.cutoff, q, theta)
-    return np.einsum("ni,nm,mi->i", w.conj(), np.asarray(rho.elements), w).real
+    return _sweep(rho, np.array([theta], dtype=float), q)[0]
 
 
 def marginal_sweep(
@@ -228,16 +280,11 @@ def marginal_sweep(
     """Stack of marginals, one row per angle (degrees).
 
     One product for every angle: with B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q),
-    Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q), c_0 = 1 and c_d = 2 for d > 0.
+    Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q), c_0 = 1 and c_d = 2 for d > 0,
+    with the phase factors exact at 0 and 90 degrees.
     """
     q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    elements = np.asarray(rho.elements)
-    dim = elements.shape[0]
-    psi = hermite_functions(dim - 1, q)
-    bands = np.stack([np.diagonal(elements, d) @ (psi[: dim - d] * psi[d:]) for d in range(dim)])
-    d = np.arange(dim)
-    phases = np.exp(1j * np.outer(np.deg2rad(np.asarray(angles_deg, dtype=float)), d))
-    return ((phases * np.where(d == 0, 1.0, 2.0)) @ bands).real
+    return _sweep(rho, np.deg2rad(np.asarray(angles_deg, dtype=float)), q)
 
 
 def origin_parity(rho: DensityMatrix) -> float:
@@ -254,29 +301,37 @@ def _basis_label(theta: float) -> str:
     return "angle"
 
 
+def _grid_blocks(axis1, axis2, *columns):
+    """Row blocks of a grid CSV: axis1 value, axis2 column, then each grid column's row.
+
+    Every grid column is formatted in one batch, so each distinct value of the
+    whole grid is formatted once, and then sliced by row.
+    """
+    first, second = fields(axis1), fields(axis2)
+    texts = [fields(c) for c in columns]
+    n = len(second)
+    for i, a in enumerate(first):
+        yield (a, second, *(t[i * n : (i + 1) * n] for t in texts))
+
+
 def save_quad_csv(qdm: QuadDensityMatrix, path) -> None:
     """Grid CSV: '# basis=<...> theta=<deg>' header, then axis1,axis2,re,im rows."""
     theta_deg = float(np.rad2deg(qdm.theta))
     head = [f"# basis={_basis_label(qdm.theta)} theta={theta_deg!r}", "axis1,axis2,re,im"]
-    axis = fields(qdm.axis)
-    rows = zip(axis, qdm.values.real, qdm.values.imag)
-    write_rows(path, head, ((qi, axis, fields(re), fields(im)) for qi, re, im in rows))
+    write_rows(path, head, _grid_blocks(qdm.axis, qdm.axis, qdm.values.real, qdm.values.imag))
 
 
 def save_wigner_csv(grid: WignerGrid, path) -> None:
     """Grid CSV for W(x, p): axis1 = x, axis2 = p, re = W."""
     head = ["# basis=wigner theta=0.0", "axis1,axis2,re"]
-    p_axis = fields(grid.p_axis)
-    rows = zip(fields(grid.x_axis), grid.values)
-    write_rows(path, head, ((x, p_axis, fields(w)) for x, w in rows))
+    write_rows(path, head, _grid_blocks(grid.x_axis, grid.p_axis, grid.values))
 
 
 def save_marginal_sweep_csv(angles_deg, axis, sweep: np.ndarray, path) -> None:
     """Long-format CSV of a marginal sweep: theta_deg, q, density."""
     head = ["# basis=marginal-sweep", "theta_deg,q,density"]
-    q = fields(axis.axis if isinstance(axis, QuadGrid) else axis)
-    rows = zip(fields(angles_deg), sweep)
-    write_rows(path, head, ((a, q, fields(density)) for a, density in rows))
+    q = axis.axis if isinstance(axis, QuadGrid) else axis
+    write_rows(path, head, _grid_blocks(angles_deg, q, sweep))
 
 
 class CoherencePeak(NamedTuple):

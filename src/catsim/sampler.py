@@ -1,8 +1,8 @@
 """Synthetic homodyne datasets: the stand-in for the laboratory digitizer.
 
 Quadrature values are drawn by tabulated inverse-CDF sampling from the exact
-marginal of a known density matrix, phase by phase, with reproducible
-per-phase sub-seeds. Phases are expressed in degrees everywhere records are
+marginal of a known density matrix, with reproducible per-phase sub-seeds;
+one marginal sweep tabulates every phase of a dataset. Phases are expressed in degrees everywhere records are
 read or written.
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DegenerateDistributionError, DomainError, ParseError, SchemaError
 from .export import fields, write_rows
 from .fock import DensityMatrix
-from .phasespace import marginal
+from .phasespace import marginal, marginal_sweep
 
 DEFAULT_PHASES_DEG = (-45.0, -22.5, 0.0, 22.5, 45.0, 90.0)
 DEFAULT_SAMPLES_PER_PHASE = 10_000
@@ -118,19 +118,8 @@ def _subseed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_phase(
-    rho: DensityMatrix,
-    theta_deg: float,
-    count: int,
-    seed: int,
-    grid_points: int = _CDF_POINTS,
-    q_range: tuple[float, float] = _CDF_RANGE,
-) -> np.ndarray:
-    """Draw i.i.d. quadrature values at one phase by inverse-CDF interpolation."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    grid = np.linspace(q_range[0], q_range[1], grid_points)
-    pdf = marginal(rho, np.deg2rad(theta_deg), grid)
+def _inverse_cdf_draws(pdf: np.ndarray, grid: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Draw count values from a pdf tabulated on a uniform grid by inverse-CDF interpolation."""
     pdf = np.clip(pdf, 0.0, None)
     dq = grid[1] - grid[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dq)))
@@ -144,23 +133,42 @@ def sample_phase(
     return np.interp(u, cdf, grid)
 
 
+def sample_phase(
+    rho: DensityMatrix,
+    theta_deg: float,
+    count: int,
+    seed: int,
+    grid_points: int = _CDF_POINTS,
+    q_range: tuple[float, float] = _CDF_RANGE,
+) -> np.ndarray:
+    """Draw i.i.d. quadrature values at one phase by inverse-CDF interpolation."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    grid = np.linspace(q_range[0], q_range[1], grid_points)
+    pdf = marginal(rho, np.deg2rad(theta_deg), grid)
+    return _inverse_cdf_draws(pdf, grid, count, seed)
+
+
 def synth_dataset(
     rho: DensityMatrix, plan: PhasePlan, seed: int, source_id: str = "state"
 ) -> HomodyneDataset:
-    """Concatenated per-phase draws with derived sub-seeds and full metadata."""
-    thetas, values = [], []
-    for i, t in enumerate(plan.phases_deg):
-        draws = sample_phase(rho, t, plan.samples_per_phase, _subseed(seed, i))
-        thetas.append(np.full(plan.samples_per_phase, t))
-        values.append(draws)
+    """Concatenated per-phase draws with derived sub-seeds and full metadata.
+
+    Every phase's pdf comes from one marginal sweep on the sampling grid; the
+    draws at each phase are those `sample_phase` makes with the sub-seed.
+    """
+    grid = np.linspace(_CDF_RANGE[0], _CDF_RANGE[1], _CDF_POINTS)
+    pdfs = marginal_sweep(rho, plan.phases_deg, grid)
+    count = plan.samples_per_phase
+    values = [_inverse_cdf_draws(pdf, grid, count, _subseed(seed, i)) for i, pdf in enumerate(pdfs)]
     meta = {
         "source_id": source_id,
         "seed": int(seed),
         "phases_deg": list(plan.phases_deg),
-        "counts_per_phase": [plan.samples_per_phase] * len(plan.phases_deg),
+        "counts_per_phase": [count] * len(plan.phases_deg),
         "shot_noise_variance": SHOT_NOISE_VARIANCE,
     }
-    return HomodyneDataset(np.concatenate(thetas), np.concatenate(values), meta)
+    return HomodyneDataset(np.repeat(plan.phases_deg, count), np.concatenate(values), meta)
 
 
 def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
@@ -168,11 +176,8 @@ def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
     meta = dataset.meta
     lines = [f"#{key}={fmt(meta[key])}" for key, fmt, _ in _META if meta.get(key) is not None]
     lines.append("theta_deg,q")
-    # each distinct phase is formatted once; the bit pattern keeps -0.0 apart from 0.0
-    bits, phase = np.unique(dataset.theta_deg.view(np.int64), return_inverse=True)
-    theta = np.array(fields(bits.view(float)), dtype=object)
     blocks = (
-        (theta[phase[s : s + _BLOCK_ROWS]].tolist(), fields(dataset.q[s : s + _BLOCK_ROWS]))
+        (fields(dataset.theta_deg[s : s + _BLOCK_ROWS]), fields(dataset.q[s : s + _BLOCK_ROWS]))
         for s in range(0, len(dataset), _BLOCK_ROWS)
     )
     write_rows(path, lines, blocks)

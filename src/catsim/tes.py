@@ -179,6 +179,10 @@ def classify_pulse(trace: np.ndarray, params: TesParams, n_max: int | None = Non
         raise DomainError(
             f"trace length {trace.size} does not match samples_per_trace {params.samples_per_trace}"
         )
+    if n_max is not None:
+        n_max = _integer(n_max, "n_max")
+        if n_max < 0:
+            raise DomainError(f"n_max must be >= 0, got {n_max}")
     height = float(_heights_from_traces(trace[None, :], params)[0])
     est = max(0, int(math.floor(height + 0.5)))
     if n_max is not None and est > n_max:
@@ -296,10 +300,13 @@ def confusion(params: TesParams, n_max: int, trials: int, seed: int = 0) -> Conf
     """
     n_max = _integer(n_max, "n_max")
     trials = _integer(trials, "trials")
+    seed = _integer(seed, "seed")
     if trials < 1000:
         raise DomainError("trials must be >= 1000 for a meaningful estimate")
     if n_max < 0:
         raise DomainError("n_max must be >= 0")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     per_row = -(-trials // (n_max + 1))  # ceil split
     entropy = np.random.SeedSequence(seed).entropy
     shape = params.pulse_shape()

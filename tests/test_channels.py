@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from catsim import channels
 from catsim.channels import (
     ExperimentParams,
+    _tapped_branches,
     beamsplitter_join,
     count_rate_table,
     herald_probabilities,
@@ -22,6 +24,7 @@ from catsim.fock import (
     HilbertConfig,
     SqueezeSpec,
     StateVector,
+    coherent_state,
     fidelity,
     squeezed_vacuum,
 )
@@ -286,6 +289,70 @@ def test_zero_loss_heralding_parity():
         diag = res.state.diagonal
         wrong = diag[1::2] if n % 2 == 0 else diag[0::2]
         assert np.sum(np.abs(wrong)) < 1e-12
+
+
+PARITY_CASES = [
+    PAPER,
+    ExperimentParams(opa_loss=0.0, idler_efficiency=1.0, signal_efficiency=1.0),
+    ExperimentParams(
+        squeeze=SqueezeSpec.from_db(3.0), opa_loss=0.2, bs_reflectivity=0.9,
+        idler_efficiency=0.8, signal_efficiency=0.7, cutoff=20, idler_cutoff=6,
+    ),
+    ExperimentParams(squeeze=SqueezeSpec(0.3), opa_loss=0.5, bs_reflectivity=0.5, cutoff=15),
+]
+
+
+def odd_elements(rho):
+    n = np.arange(rho.shape[0])
+    return rho[(n[:, None] + n[None, :]) % 2 == 1]
+
+
+def full_eigh_herald(params):
+    """Oracle: herald states and idler probabilities from one eigh of the whole source."""
+    cfg = HilbertConfig(params.cutoff)
+    source = loss_channel(squeezed_vacuum(params.squeeze, cfg).to_density(), 1.0 - params.opa_loss)
+    vals, vecs = np.linalg.eigh(np.asarray(source.elements))
+    branches = [
+        (w, beamsplitter_join(StateVector.normalize(v, cfg), params.bs_reflectivity,
+                              params.idler_cutoff).amplitudes)
+        for w, v in zip(vals, vecs.T)
+        if w >= 1e-15
+    ]
+    idler = sum(w * np.sum(np.abs(a) ** 2, axis=0) for w, a in branches)
+    states, probs = [], []
+    for n in range(params.idler_cutoff + 1):
+        povm = np.diag(lossy_number_povm(n, params.idler_efficiency, params.idler_cutoff))
+        probs.append(float(povm @ idler))
+        rho_u = sum(w * (a * povm) @ a.conj().T for w, a in branches)
+        prob = np.trace(rho_u).real
+        if prob > 1e-300:
+            rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, cfg)
+            states.append(np.asarray(loss_channel(rho, params.signal_efficiency).elements))
+        else:
+            states.append(None)
+    return states, np.array(probs)
+
+
+@pytest.mark.parametrize("params", PARITY_CASES)
+def test_herald_states_are_parity_exact_and_match_full_eigh(params):
+    states, probs = full_eigh_herald(params)
+    assert not np.any(odd_elements(np.asarray(input_state(params).elements)))
+    for w, amps in _tapped_branches(params, HilbertConfig(params.cutoff)):
+        s, k = np.nonzero(amps)
+        assert np.unique((s + k) % 2).size == 1  # each branch has one photon-number parity
+    for n in range(min(4, params.idler_cutoff) + 1):
+        rho = np.asarray(herald_subtract(params.with_herald(n)).state.elements)
+        assert not np.any(odd_elements(rho))
+        assert np.max(np.abs(rho - states[n])) < 1e-12
+    assert np.max(np.abs(herald_probabilities(params) - probs)) < 1e-12
+
+
+def test_source_coupling_parities_is_refused(monkeypatch):
+    monkeypatch.setattr(
+        channels, "squeezed_vacuum", lambda spec, cfg, tail_tol: coherent_state(0.5, cfg)
+    )
+    with pytest.raises(DomainError, match="even and odd"):
+        herald_subtract(PAPER.with_herald(1))
 
 
 def two_mode_density(amps):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
-from catsim.channels import loss_channel
+from catsim.channels import ExperimentParams, herald_subtract, input_state, loss_channel
 from catsim.errors import DomainError
 from catsim.fock import (
     DensityMatrix,
@@ -13,6 +13,7 @@ from catsim.fock import (
     StateVector,
     cat_state,
     phase_rotated,
+    quadrature_basis,
     squeezed_vacuum,
 )
 from catsim.phasespace import (
@@ -128,13 +129,47 @@ def test_wigner_recurrence_matches_laguerre_expansion(rho):
     assert np.max(np.abs(wigner(rho, axis, axis).values - expected)) < 1e-12
 
 
+def einsum_marginal(rho, theta, q):
+    """Oracle: Pr(q | theta) = sum_{n,m} conj(w_n(q)) rho_{n,m} w_m(q), w = <n|q_theta>."""
+    w = quadrature_basis(rho.config.cutoff, q, theta)
+    return np.einsum("ni,nm,mi->i", w.conj(), np.asarray(rho.elements), w).real
+
+
 def test_marginal_sweep_matches_per_angle_marginals():
     rho = random_dm(5, cutoff=12)
     assert np.abs(rho.elements.imag).max() > 0.01
     angles = np.arange(-90.0, 91.0, 7.5)
     grid = QuadGrid.linspace(-5, 5, 101)
-    expected = np.stack([marginal(rho, np.deg2rad(a), grid) for a in angles])
-    assert np.max(np.abs(marginal_sweep(rho, angles, grid) - expected)) < 1e-12
+    expected = np.stack([einsum_marginal(rho, np.deg2rad(a), grid.axis) for a in angles])
+    sweep = marginal_sweep(rho, angles, grid)
+    assert np.max(np.abs(sweep - expected)) < 1e-12
+    # marginal is the one-angle case of the sweep
+    for a, row in zip(angles, sweep):
+        assert np.max(np.abs(marginal(rho, np.deg2rad(a), grid) - row)) < 1e-14
+
+
+def default_states():
+    params = ExperimentParams()
+    return [input_state(params)] + [herald_subtract(params.with_herald(n)).state for n in range(5)]
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2, 0.7])
+def test_rho_quad_is_bitwise_hermitian_and_matches_the_complex_product(theta):
+    rho = random_dm(11, cutoff=10)
+    q = QuadGrid.linspace(-4, 4, 61).axis
+    values = rho_quad(rho, theta, q).values
+    assert np.array_equal(values, values.conj().T)
+    assert np.all(values.diagonal().imag == 0)
+    w = quadrature_basis(rho.config.cutoff, q, theta)  # the old w^† rho w table
+    assert np.max(np.abs(values - w.conj().T @ np.asarray(rho.elements) @ w)) < 1e-13
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 2])
+def test_rho_quad_of_default_states_has_exact_zero_imaginary_part(theta):
+    grid = QuadGrid.default()
+    for rho in default_states():
+        im = rho_quad(rho, theta, grid).values.imag
+        assert np.all(im == 0) and not np.any(np.signbit(im))
 
 
 def test_rho_quad_vacuum_momentum_basis():

@@ -151,6 +151,24 @@ def test_simulate_outputs(finished_run):
     assert (out / "manifest.json").exists()
 
 
+def test_quadrature_grids_have_exact_zero_imaginary_part(finished_run):
+    _, out, _, _ = finished_run
+    for path in sorted(out.glob("states/*/rho_??.csv")):
+        lines = path.read_text(encoding="ascii").splitlines()
+        assert lines[1] == "axis1,axis2,re,im"
+        assert {line.rsplit(",", 1)[1] for line in lines[2:]} == {"0.0"}, path
+
+
+def test_simulate_twice_gives_the_same_bytes(tmp_path):
+    cfg = light_config()
+    for out in (tmp_path / "a", tmp_path / "b"):
+        pipeline.simulate(cfg, out)
+    a = {f.relative_to(tmp_path / "a"): f.read_bytes() for f in (tmp_path / "a").rglob("*.csv")}
+    b = {f.relative_to(tmp_path / "b"): f.read_bytes() for f in (tmp_path / "b").rglob("*.csv")}
+    assert a.keys() == b.keys() and len(a) > 10
+    assert a == b
+
+
 def test_manifest_lists_all_files_with_checksums(finished_run):
     _, out, _, _ = finished_run
     manifest = json.loads((out / "manifest.json").read_text())

@@ -18,6 +18,7 @@ from catsim.fock import (
     cat_state,
     coherent_state,
     phase_rotated,
+    quadrature_basis,
     squeezed_vacuum,
 )
 from catsim.phasespace import marginal
@@ -25,6 +26,7 @@ from catsim.sampler import (
     DEFAULT_PHASES_DEG,
     HomodyneDataset,
     PhasePlan,
+    _subseed,
     load_dataset,
     sample_phase,
     save_dataset,
@@ -40,9 +42,15 @@ def vacuum_dm():
     return StateVector(amps, CFG).to_density()
 
 
+def einsum_marginal(rho, theta, q):
+    """Oracle: Pr(q | theta) = sum_{n,m} conj(w_n(q)) rho_{n,m} w_m(q), w = <n|q_theta>."""
+    w = quadrature_basis(rho.config.cutoff, q, theta)
+    return np.einsum("ni,nm,mi->i", w.conj(), np.asarray(rho.elements), w).real
+
+
 def exact_cdf(rho, theta_deg, grid=None):
     q = np.linspace(-8, 8, 8001) if grid is None else grid
-    pdf = np.clip(marginal(rho, math.radians(theta_deg), q), 0, None)
+    pdf = np.clip(einsum_marginal(rho, math.radians(theta_deg), q), 0, None)
     dq = q[1] - q[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dq)))
     cdf /= cdf[-1]
@@ -118,6 +126,15 @@ def test_subseed_independence():
     b = ds.records_for(90.0)
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
+
+
+def test_synth_dataset_draws_equal_sample_phase_per_phase():
+    rho = herald_subtract(ExperimentParams().with_herald(3)).state
+    plan = PhasePlan(samples_per_phase=2000)
+    ds = synth_dataset(rho, plan, seed=41)
+    for i, theta in enumerate(plan.phases_deg):
+        alone = sample_phase(rho, theta, plan.samples_per_phase, _subseed(41, i))
+        assert np.max(np.abs(ds.records_for(theta) - alone)) < 1e-12
 
 
 def test_synth_dataset_single_record():

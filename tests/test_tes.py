@@ -148,6 +148,20 @@ def test_saturation_warning():
         assert classify_pulse(trace, params, n_max=4) == 4
 
 
+@pytest.mark.parametrize("n_max", [2.5, 4.0, "4", True, -1])
+def test_classify_refuses_bad_n_max(n_max):
+    trace = pulse_trace(3, DEFAULTS, seed=1)
+    with pytest.raises(DomainError, match="n_max"):
+        classify_pulse(trace, DEFAULTS, n_max=n_max)
+
+
+def test_classify_accepts_numpy_integer_n_max():
+    params = TesParams(noise_floor=0.0, energy_resolution_ev=1e-9)
+    with pytest.warns(SaturationWarning):
+        est = classify_pulse(pulse_trace(6, params, seed=0), params, n_max=np.int64(4))
+    assert est == 4 and type(est) is int
+
+
 def test_pileup_baseline_subtraction():
     # a preceding n=4 pulse leaves a decaying residual across the next window;
     # the pre-onset baseline removes the bias for all n <= 4
@@ -214,6 +228,18 @@ def test_confusion_accepts_numpy_integers():
     params = TesParams(energy_resolution_ev=0.4)
     want = confusion(params, 2, 3000, seed=4).matrix.tobytes()
     assert confusion(params, np.int64(2), np.int32(3000), seed=4).matrix.tobytes() == want
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None, np.float64(2.0)])
+def test_confusion_refuses_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        confusion(DEFAULTS, 2, 3000, seed=seed)
+
+
+def test_confusion_accepts_numpy_integer_seed():
+    params = TesParams(energy_resolution_ev=0.4)
+    want = confusion(params, 2, 3000, seed=4).matrix.tobytes()
+    assert confusion(params, 2, 3000, seed=np.uint32(4)).matrix.tobytes() == want
 
 
 def test_confusion_matrix_validation_and_csv(tmp_path):
