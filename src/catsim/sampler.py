@@ -8,6 +8,7 @@ read or written.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,7 @@ _CDF_POINTS = 4096
 _CDF_RANGE = (-8.0, 8.0)  # covers the anti-squeezed tails of every pipeline state
 _MIN_GRID_MASS = 0.999
 _BLOCK_ROWS = 8192  # records formatted and written at a time
+_HEADER = "theta_deg,q"
 
 # the '#key=value' metadata lines of a dataset CSV, in file order: key, format, parse
 _META = (
@@ -175,7 +177,7 @@ def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
     """Write the canonical CSV: '#key=value' metadata, 'theta_deg,q' header, records."""
     meta = dataset.meta
     lines = [f"#{key}={fmt(meta[key])}" for key, fmt, _ in _META if meta.get(key) is not None]
-    lines.append("theta_deg,q")
+    lines.append(_HEADER)
     blocks = (
         (fields(dataset.theta_deg[s : s + _BLOCK_ROWS]), fields(dataset.q[s : s + _BLOCK_ROWS]))
         for s in range(0, len(dataset), _BLOCK_ROWS)
@@ -183,49 +185,96 @@ def save_dataset(dataset: HomodyneDataset, path: str | Path) -> None:
     write_rows(path, lines, blocks)
 
 
-def load_dataset(path: str | Path) -> HomodyneDataset:
-    """Read the canonical CSV; raises ParseError with the offending line number."""
+def _read_lines(lines) -> tuple[dict, list[float], list[float], bool]:
+    """The line-by-line reader: raw metadata with line numbers, records, and
+    whether the header was seen. Raises ParseError or SchemaError at the
+    first offending line."""
     meta: dict = {}
     thetas: list[float] = []
     values: list[float] = []
     header_seen = False
-    with open(path, "r", encoding="ascii") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" not in line:
-                    raise ParseError(f"malformed metadata comment {line!r}", line_no)
-                key, _, val = line[1:].partition("=")
-                meta[key.strip()] = (val.strip(), line_no)
-                continue
-            if not header_seen:
-                if line != "theta_deg,q":
-                    raise SchemaError(
-                        f"expected header 'theta_deg,q' at line {line_no}, found {line!r}"
-                    )
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"expected two comma-separated fields, found {len(parts)}", line_no)
-            try:
-                thetas.append(float(parts[0]))
-            except ValueError:
-                raise ParseError(f"unreadable theta token {parts[0]!r}", line_no) from None
-            try:
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ParseError(f"unreadable quadrature token {parts[1]!r}", line_no) from None
-    if not header_seen:
-        raise SchemaError("file contains no 'theta_deg,q' header line")
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if "=" not in line:
+                raise ParseError(f"malformed metadata comment {line!r}", line_no)
+            key, _, val = line[1:].partition("=")
+            meta[key.strip()] = (val.strip(), line_no)
+            continue
+        if not header_seen:
+            if line != _HEADER:
+                raise SchemaError(
+                    f"expected header '{_HEADER}' at line {line_no}, found {line!r}"
+                )
+            header_seen = True
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ParseError(f"expected two comma-separated fields, found {len(parts)}", line_no)
+        try:
+            thetas.append(float(parts[0]))
+        except ValueError:
+            raise ParseError(f"unreadable theta token {parts[0]!r}", line_no) from None
+        try:
+            values.append(float(parts[1]))
+        except ValueError:
+            raise ParseError(f"unreadable quadrature token {parts[1]!r}", line_no) from None
+    return meta, thetas, values, header_seen
+
+
+def _record_block(body: str) -> np.ndarray | None:
+    """The (rows, 2) records of a body that holds records and blank lines
+    only, parsed in one call; None where the line reader might differ.
+
+    np.loadtxt skips the ASCII separators 0x1c-0x1f around a field, where
+    float() refuses them, so a body holding any of them is left to the line
+    reader.
+    """
+    if not body.strip():
+        return np.empty((0, 2))
+    if any(c in body for c in "\x1c\x1d\x1e\x1f"):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def load_dataset(path: str | Path) -> HomodyneDataset:
+    """Read the canonical CSV; raises ParseError with the offending line number.
+
+    The metadata lines before a bare header line are read line by line and
+    the records after it in one np.loadtxt call. Where that call fails, or
+    the file is laid out otherwise, the line reader reads the whole file, so
+    every file reads as it does line by line and every error keeps its
+    message and line number.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        text = ""
+    at = ("\n" + text).find(f"\n{_HEADER}\n")
+    rows = None
+    if at >= 0:
+        meta, _, _, header_seen = _read_lines(text[:at].split("\n"))
+        if not header_seen:
+            rows = _record_block(text[at + len(_HEADER) + 1 :])
+    if rows is None:
+        with open(path, "r", encoding="ascii") as fh:
+            meta, thetas, values, header_seen = _read_lines(fh)
+        if not header_seen:
+            raise SchemaError(f"file contains no '{_HEADER}' header line")
+        rows = np.column_stack([np.asarray(thetas, dtype=float), np.asarray(values, dtype=float)])
     typed: dict = {}
     for key, _, parse in _META:
         if key in meta:
-            text, line_no = meta[key]
+            value, line_no = meta[key]
             try:
-                typed[key] = parse(text)
+                typed[key] = parse(value)
             except ValueError:
-                raise ParseError(f"unreadable #{key} value {text!r}", line_no) from None
-    return HomodyneDataset(np.asarray(thetas), np.asarray(values), typed)
+                raise ParseError(f"unreadable #{key} value {value!r}", line_no) from None
+    return HomodyneDataset(np.ascontiguousarray(rows[:, 0]), np.ascontiguousarray(rows[:, 1]), typed)

@@ -59,7 +59,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DomainError, SaturationWarning
 
@@ -226,7 +225,7 @@ class ConfusionMatrix:
 def adjacent_confusion_estimate(params: TesParams) -> float:
     """Analytic Gaussian-overlap rate for one half-integer boundary:
     erfc(E / (2·sqrt(2)·sigma)) / 2."""
-    return float(erfc(params.photon_energy_ev / (2.0 * math.sqrt(2.0) * params.sigma_ev)) / 2.0)
+    return math.erfc(params.photon_energy_ev / (2.0 * math.sqrt(2.0) * params.sigma_ev)) / 2.0
 
 
 def _cpu_count() -> int:

@@ -12,16 +12,30 @@ Knill and Girard, NJP 14, 095017, 2012). The iteration stops once g is at
 most the configured gap tolerance. No efficiency or loss compensation of
 any kind is applied.
 
-The kernel works in real arithmetic, one phase at a time. The quadrature
+The kernel works in real arithmetic on a product basis. The quadrature
 eigenvector is <n|q,theta> = psi_n(q)·u_n with psi_n real and
 u = e^{i n theta} shared by every record of a phase, so with U = diag(u)
-and Psi the real (dim x records) table of psi_n(q_j) at that phase:
-  p_j = psi_j^T · Re(U^† rho U) · psi_j,
-  R   = sum_theta U · (Psi diag(w/p) Psi^T) · U^†,
-each one real matrix product per phase. The tables are built once per
-dataset; w is 1 per record, or the bin count when records are histogrammed.
-A bootstrap replica resamples each phase's records with replacement and
-reuses the tables: w becomes how often its draw picked each record or bin.
+and M_theta = Re(U^† rho U),
+  p_j = sum_{n,m} M_theta[n, m]·psi_n(q_j)·psi_m(q_j).
+psi_n·psi_m is e^{-q^2} times a polynomial of degree n + m and parity
+n + m, so it lies exactly in the span of the orthonormal functions
+phi_k(q) = 2^{1/4}·psi_k(sqrt(2)·q), k = 0..2·cutoff:
+  psi_n·psi_m = sum_k A[k, n, m]·phi_k,   A[k, n, m] = ∫ psi_n psi_m phi_k dq.
+A is computed once per set of tables by Gauss-Hermite quadrature, exact for
+its degree-4·cutoff integrand, and is set to exact zero unless
+k <= n + m and k = n + m (mod 2); left at their ~1e-15 round-off, those
+entries would swamp p_j far out in the tails. With Phi the real
+((2·cutoff+1) x records) table of phi_k(q_j) at a phase,
+  p = (A·M_theta)^T Phi,
+  R = sum_theta U (A^T·(Phi w/p)) U^†,
+where A·M_theta contracts (n, m) and A^T·c sums over k. Each iteration
+costs one (2·cutoff+1)-row GEMV per phase and direction, about 2(2d - 1)
+flops per record and product for dim d = cutoff + 1, against 2d^2 for
+the projectors themselves; the d x d work is one small GEMM over all
+phases. The tables are built once per dataset; w is 1 per record, or the
+bin count when records are histogrammed. A bootstrap replica resamples
+each phase's records with replacement and reuses the tables: w becomes
+how often its draw picked each record or bin.
 """
 
 from __future__ import annotations
@@ -126,37 +140,38 @@ def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PhaseTables:
-    """Real measurement tables, one per distinct phase.
+    """Real measurement tables on the phi basis, one per distinct phase.
 
     <n|q_j,theta> = psi_n(q_j)·u_n with u = e^{i n theta}, so every record
-    of one phase shares u and only the real psi depends on the record.
-    `weights` and `index` run phase by phase, in the column order of `psi`.
+    of one phase shares u, and p_j = b_theta · phi(q_j) with
+    b_theta = A·vec(Re(U^† rho U)) (see the module docstring). `amap` is A
+    with (n, m) flattened, exactly zero unless k <= n + m and k = n + m
+    (mod 2). `weights` and `index` run phase by phase, in the column order
+    of `phi`. At 60k records and cutoff 15 the phi tables hold 14.2 MB.
     """
 
-    u: list[np.ndarray]  # e^{i n theta}, shape (dim,), per phase
-    uu: list[np.ndarray]  # u u^†, the phase factor of R, shape (dim, dim), per phase
-    psi: list[np.ndarray]  # real psi_n(q_j), shape (dim, rows), per phase
+    u: np.ndarray  # e^{i n theta}, shape (phases, dim)
+    uu: np.ndarray  # u u^†, the phase factor of R, shape (phases, dim, dim)
+    amap: np.ndarray  # A[k, n·dim + m], shape (2·cutoff + 1, dim^2)
+    phi: list[np.ndarray]  # real phi_k(q_j), shape (2·cutoff + 1, rows), per phase
     weights: np.ndarray  # records counted per column: 1 per record, or per bin
     index: np.ndarray  # dataset record index per column, or the bin number
     unit: str  # what `index` counts, for error messages
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        """p_j = psi_j^T Re(U^† rho U) psi_j, one real GEMM per phase."""
-        return np.concatenate([
-            np.einsum("nj,nj->j", (u.conj()[:, None] * rho * u).real @ psi, psi)
-            for u, psi in zip(self.u, self.psi)
-        ])
+        """p = (A·Re(U^† rho U))^T Phi: one small GEMM, then one GEMV per phase."""
+        m = (self.u.conj()[:, :, None] * rho * self.u[:, None, :]).real
+        b = m.reshape(len(m), -1) @ self.amap.T
+        return np.concatenate([bk @ phi for bk, phi in zip(b, self.phi)])
 
     def r_operator(self, p: np.ndarray) -> np.ndarray:
-        """R = sum_theta U (Psi diag(w/p) Psi^T) U^†, one real GEMM per phase."""
+        """R = sum_theta UU^† ∘ (A^T·Phi_theta(w/p)): one GEMV per phase,
+        then one small GEMM and one broadcast product."""
         c = self.weights / p
-        r = np.zeros((self.u[0].size,) * 2, dtype=complex)
-        start = 0
-        for uu, psi in zip(self.uu, self.psi):
-            stop = start + psi.shape[1]
-            r += ((psi * c[start:stop]) @ psi.T) * uu
-            start = stop
-        return r
+        ends = np.cumsum([phi.shape[1] for phi in self.phi])
+        moments = np.stack([phi @ c[stop - phi.shape[1] : stop] for phi, stop in zip(self.phi, ends)])
+        g = (moments @ self.amap).reshape(self.uu.shape)
+        return np.einsum("tnm,tnm->nm", self.uu, g)
 
     def log_likelihood(self, rho: np.ndarray, when: str) -> tuple[np.ndarray, float]:
         """Probabilities and sum_j w_j ln p_j; a vanishing p_j is an error."""
@@ -177,9 +192,42 @@ class _PhaseTables:
         likelihood, so the tables stand for exactly the records counted.
         """
         keep = weights > 0
-        ends = np.cumsum([psi.shape[1] for psi in self.psi])[:-1]
-        psi = [psi[:, k] for psi, k in zip(self.psi, np.split(keep, ends))]
-        return _PhaseTables(self.u, self.uu, psi, weights[keep], self.index[keep], self.unit)
+        ends = np.cumsum([phi.shape[1] for phi in self.phi])[:-1]
+        phi = [phi[:, k] for phi, k in zip(self.phi, np.split(keep, ends))]
+        return _PhaseTables(
+            self.u, self.uu, self.amap, phi, weights[keep], self.index[keep], self.unit
+        )
+
+
+def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:
+    """phi[k, j] = phi_k(q_j) = 2^{1/4}·psi_k(sqrt(2)·q_j) for k <= 2·cutoff.
+
+    The recurrence starts from e^{-q^2}, which is subnormal beyond
+    |q| ≈ 26.6: p of a record out there loses digits (1e-7 relative at
+    q = 27) and underflows to 0 by q = 28, where psi_n(q)^2 still holds
+    values near 1e-280 at cutoff 30.
+    """
+    phi = hermite_functions(2 * cutoff, math.sqrt(2.0) * q)
+    phi *= 2.0**0.25
+    return phi
+
+
+def _product_map(cutoff: int) -> np.ndarray:
+    """A[k, n, m] = ∫ psi_n psi_m phi_k dq for k <= 2·cutoff, as (2·cutoff+1, dim^2).
+
+    In x = sqrt(2)·q the integrand is e^{-x^2} times a polynomial of degree
+    n + m + k <= 4·cutoff, which Gauss-Hermite quadrature on 2·cutoff + 1
+    nodes integrates exactly. Entries outside k <= n + m, k = n + m (mod 2)
+    vanish by orthogonality and parity and are set to exact zero.
+    """
+    x, w = np.polynomial.hermite.hermgauss(2 * cutoff + 1)
+    q = x / math.sqrt(2.0)
+    psi = hermite_functions(cutoff, q)
+    pairs = (psi[:, None, :] * psi[None, :, :]).reshape(-1, x.size)
+    a = (_phi_table(cutoff, q) * (w * np.exp(x * x) / math.sqrt(2.0))) @ pairs.T
+    k, n, m = np.ogrid[: 2 * cutoff + 1, : cutoff + 1, : cutoff + 1]
+    a[((k > n + m) | ((k + n + m) % 2 == 1)).reshape(a.shape)] = 0.0
+    return a
 
 
 def _phase_tables(
@@ -200,11 +248,11 @@ def _phase_tables(
     if not (np.isfinite(snv) and snv > 0):
         raise DomainError(f"shot_noise_variance must be finite and positive, got {snv}")
     theta_deg, q = dataset.theta_deg, dataset.q * float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
-    u, psi, weights, index = [], [], [], []
+    phases = np.unique(theta_deg)
+    phi, weights, index = [], [], []
     column = np.empty(q.size, dtype=np.intp)
     start = 0
-    for t in np.unique(theta_deg):
-        u.append(np.exp(1j * np.arange(cutoff + 1) * np.deg2rad(t)))
+    for t in phases:
         idx = np.nonzero(theta_deg == t)[0]
         if bin_width is None:
             points, counts, col = q[idx], np.ones(idx.size), np.arange(idx.size)
@@ -222,14 +270,16 @@ def _phase_tables(
             col = (np.cumsum(keep) - 1)[bins]
         column[idx] = start + col
         start += counts.size
-        psi.append(hermite_functions(cutoff, points))
+        phi.append(_phi_table(cutoff, points))
         weights.append(counts)
     weights = np.concatenate(weights)
-    uu = [np.outer(v, v.conj()) for v in u]
+    u = np.exp(1j * np.deg2rad(phases)[:, None] * np.arange(cutoff + 1))
+    uu = u[:, :, None] * u.conj()[:, None, :]
+    amap = _product_map(cutoff)
     if bin_width is None:
-        return _PhaseTables(u, uu, psi, weights, np.concatenate(index), "records"), column
+        return _PhaseTables(u, uu, amap, phi, weights, np.concatenate(index), "records"), column
     unit = "histogram bins (numbered phase by phase, ascending q)"
-    return _PhaseTables(u, uu, psi, weights, np.arange(weights.size), unit), column
+    return _PhaseTables(u, uu, amap, phi, weights, np.arange(weights.size), unit), column
 
 
 def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) -> float:

@@ -1,5 +1,9 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,20 @@ from catsim.errors import ConfigError, MissingInputError, SchemaError
 from catsim.fock import load_density_matrix
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
+
+
+def test_import_catsim_loads_no_scipy():
+    # scipy is a test dependency only: the package and its CLI run on numpy
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, catsim, catsim.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=120
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def light_config(**overrides):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from catsim.channels import ExperimentParams, herald_subtract
@@ -26,6 +28,7 @@ from catsim.sampler import (
     DEFAULT_PHASES_DEG,
     HomodyneDataset,
     PhasePlan,
+    _META,
     _subseed,
     load_dataset,
     sample_phase,
@@ -287,3 +290,146 @@ def test_degenerate_distribution_rejected():
     rho = coherent_state(5.5j, HilbertConfig(70)).to_density()
     with pytest.raises(DegenerateDistributionError):
         sample_phase(rho, 90.0, 10, seed=0)
+
+
+def load_dataset_line_by_line(path):
+    """The reader as it was before the record block went to np.loadtxt: one
+    float() per token, kept here as the oracle of `load_dataset`."""
+    meta: dict = {}
+    thetas: list[float] = []
+    values: list[float] = []
+    header_seen = False
+    with open(path, "r", encoding="ascii") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if "=" not in line:
+                    raise ParseError(f"malformed metadata comment {line!r}", line_no)
+                key, _, val = line[1:].partition("=")
+                meta[key.strip()] = (val.strip(), line_no)
+                continue
+            if not header_seen:
+                if line != "theta_deg,q":
+                    raise SchemaError(
+                        f"expected header 'theta_deg,q' at line {line_no}, found {line!r}"
+                    )
+                header_seen = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"expected two comma-separated fields, found {len(parts)}", line_no)
+            try:
+                thetas.append(float(parts[0]))
+            except ValueError:
+                raise ParseError(f"unreadable theta token {parts[0]!r}", line_no) from None
+            try:
+                values.append(float(parts[1]))
+            except ValueError:
+                raise ParseError(f"unreadable quadrature token {parts[1]!r}", line_no) from None
+    if not header_seen:
+        raise SchemaError("file contains no 'theta_deg,q' header line")
+    typed: dict = {}
+    for key, _, parse in _META:
+        if key in meta:
+            text, line_no = meta[key]
+            try:
+                typed[key] = parse(text)
+            except ValueError:
+                raise ParseError(f"unreadable #{key} value {text!r}", line_no) from None
+    return HomodyneDataset(np.asarray(thetas), np.asarray(values), typed)
+
+
+# tokens where float() and a C number parser may disagree
+AWKWARD_TOKENS = [
+    "1_0", "0x1p3", "1d5", "1e", "e5", ".", "+.5", "5.", "-0", "0001", "1e-400", "1e400",
+    "inf", "-Infinity", "nAn", "nan(1)", "", " ", "1.5j", "in f", "#1", "theta_deg", "1,",
+]
+PADDING = ["", " ", "\t", "\v", "\f", "\x1c", "\x1f", "\x00", "\r"]
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+TOKENS = st.one_of(
+    FLOATS.map(repr), FLOATS.map(str), st.sampled_from(AWKWARD_TOKENS),
+    st.text(alphabet="0123456789.eE+-_ni", max_size=8),
+)
+FIELD = st.builds(lambda a, t, b: a + t + b, st.sampled_from(PADDING), TOKENS, st.sampled_from(PADDING))
+CLEAN_RECORD = st.one_of(
+    st.builds(lambda t, q: f"{t!r},{q!r}", st.sampled_from([0.0, 22.5, -45.0]), FLOATS),
+    st.builds(
+        lambda a, t, b, q, c: f"{a}{t},{b}{q}{c}",
+        st.sampled_from(PADDING[:5]), FLOATS.map(str), st.sampled_from(PADDING[:5]),
+        st.one_of(FLOATS.map(repr), st.sampled_from(["-0", "+.5", "5.", "1E5", "0001", "1e-400"])),
+        st.sampled_from(PADDING[:5]),
+    ),
+    st.sampled_from(["", "  "]),
+)
+RECORD = st.one_of(
+    CLEAN_RECORD,
+    st.builds(lambda t, q: f"{t},{q}", FIELD, FIELD),
+    st.sampled_from(["#seed=2", "#bad", "theta_deg,q", "1.0", "1.0,2.0,3.0", "\x1c", "inf,1", "0,nan"]),
+)
+META_LINES = [
+    "#source_id=fuzz", "#seed=3", "#phases_deg=0.0,22.5,-45.0", "#shot_noise_variance=0.5", "",
+]
+HEAD = st.one_of(
+    st.lists(st.sampled_from(META_LINES), max_size=4),
+    st.lists(st.sampled_from(META_LINES + ["#seed=x", "#counts_per_phase=1,1", "#bad", " \t", "0.0,1.0"]), max_size=4),
+)
+HEADER = st.one_of(
+    st.just("theta_deg,q"),
+    st.sampled_from([" theta_deg,q", "theta_deg,q\f", "angle,value", None]),
+)
+BODY = st.one_of(st.lists(CLEAN_RECORD, max_size=12), st.lists(RECORD, max_size=12))
+NEWLINE = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(head=HEAD, header=HEADER, body=BODY, newline=NEWLINE, last=st.booleans())
+def test_load_dataset_reads_as_the_line_reader(tmp_path_factory, head, header, body, newline, last):
+    lines = head + ([] if header is None else [header]) + body
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes((newline.join(lines) + (newline if last else "")).encode("ascii"))
+    try:
+        want = load_dataset_line_by_line(path)
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
+        with pytest.raises(type(exc)) as err:
+            load_dataset(path)
+        assert str(err.value) == str(exc)
+        assert getattr(err.value, "line_number", None) == getattr(exc, "line_number", None)
+        return
+    got = load_dataset(path)
+    assert got.theta_deg.tobytes() == want.theta_deg.tobytes()
+    assert got.q.tobytes() == want.q.tobytes()
+    assert got.theta_deg.dtype == want.theta_deg.dtype and got.q.shape == want.q.shape
+    assert repr(got.meta) == repr(want.meta)
+
+
+def test_load_dataset_reads_a_pipeline_file_as_the_line_reader(tmp_path):
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG).to_density()
+    ds = synth_dataset(rho, PhasePlan(samples_per_phase=2000), seed=9)
+    path = tmp_path / "data.csv"
+    save_dataset(ds, path)
+    got, want = load_dataset(path), load_dataset_line_by_line(path)
+    assert got.theta_deg.tobytes() == want.theta_deg.tobytes() == ds.theta_deg.tobytes()
+    assert got.q.tobytes() == want.q.tobytes() == ds.q.tobytes()
+    assert got.meta == want.meta
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("0.0,0.5\n0.0,\x1c0.4\n", 3),  # a separator float() refuses
+        ("0.0,0.5\n0.0,1_0.4\n", None),  # an underscore float() takes
+        ("0.0,0.5\n#seed=abc\n0.0,0.4\n", 3),  # metadata among the records
+        ("0.0,0.5\n\n0.0,0.4,1\n", 4),
+    ],
+)
+def test_records_the_block_parser_would_misread_go_line_by_line(tmp_path, body, line):
+    path = tmp_path / "data.csv"
+    path.write_text("theta_deg,q\n" + body)
+    if line is None:
+        assert load_dataset(path).q.tolist() == [0.5, 10.4]
+        return
+    with pytest.raises(ParseError) as err:
+        load_dataset(path)
+    assert err.value.line_number == line

@@ -17,6 +17,7 @@ from catsim.errors import (
 )
 from catsim.fock import (
     HilbertConfig,
+    hermite_functions,
     SqueezeSpec,
     StateVector,
     fidelity,
@@ -30,6 +31,7 @@ from catsim.tomography import (
     BootstrapReport,
     MleConfig,
     _phase_tables,
+    _product_map,
     bootstrap,
     log_likelihood,
     mle_reconstruct,
@@ -184,6 +186,81 @@ def test_phase_tables_match_brute_force_binned():
     assert np.allclose(p[column], want_p, rtol=0, atol=1e-12)
     assert np.dot(tables.weights, np.log(p)) == pytest.approx(np.log(want_p).sum(), abs=1e-12)
     assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
+
+
+def phi_table(cutoff, q):
+    """phi_k(q) = 2^{1/4} psi_k(sqrt(2) q) for k <= 2·cutoff."""
+    return 2.0**0.25 * hermite_functions(2 * cutoff, math.sqrt(2.0) * np.asarray(q))
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 15, 18, 30])
+def test_product_map_expands_hermite_products(cutoff):
+    q = np.linspace(-12.0, 12.0, 2401)
+    psi = hermite_functions(cutoff, q)
+    want = psi[:, None, :] * psi[None, :, :]
+    got = np.einsum("kx,kj->xj", _product_map(cutoff), phi_table(cutoff, q))
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 15, 18, 30])
+def test_product_map_structural_zeros_are_exact(cutoff):
+    a = _product_map(cutoff).reshape(2 * cutoff + 1, cutoff + 1, cutoff + 1)
+    k, n, m = np.ogrid[: 2 * cutoff + 1, : cutoff + 1, : cutoff + 1]
+    allowed = (k <= n + m) & ((k - n - m) % 2 == 0)
+    assert np.all(a[np.broadcast_to(~allowed, a.shape)] == 0.0)
+    assert np.array_equal(a, a.transpose(0, 2, 1))
+    # the diagonal ∫ psi_n^2 phi_0 dq is positive for every n
+    assert np.all(np.diagonal(a[0]) > 0)
+
+
+def longdouble_hermite(cutoff, q):
+    """psi_n(q) by the normalized recurrence, in extended precision."""
+    q = np.asarray(q, dtype=np.longdouble)
+    psi = np.zeros((cutoff + 1, q.size), dtype=np.longdouble)
+    psi[0] = np.longdouble(np.pi) ** np.longdouble(-0.25) * np.exp(-q * q / 2)
+    psi[1] = np.sqrt(np.longdouble(2)) * q * psi[0]
+    for n in range(1, cutoff):
+        psi[n + 1] = (
+            np.sqrt(np.longdouble(2) / (n + 1)) * q * psi[n]
+            - np.sqrt(np.longdouble(n) / (n + 1)) * psi[n - 1]
+        )
+    return psi
+
+
+def longdouble_probabilities(rho, theta, q, cutoff):
+    """p_j = psi_j^T Re(U^† rho U) psi_j, the projector form, in extended precision."""
+    n = np.arange(cutoff + 1, dtype=np.longdouble)
+    re, im = rho.real.astype(np.longdouble), rho.imag.astype(np.longdouble)
+    p = np.empty(q.size, dtype=np.longdouble)
+    for t in np.unique(theta):
+        sel = theta == t
+        angle = (n[:, None] - n[None, :]) * np.deg2rad(np.longdouble(t))
+        m = re * np.cos(angle) + im * np.sin(angle)  # Re(e^{-i n t} rho_nm e^{i m t})
+        psi = longdouble_hermite(cutoff, q[sel])
+        p[sel] = np.einsum("nj,nm,mj->j", psi, m, psi)
+    return p
+
+
+@pytest.mark.parametrize("cutoff", [15, 18])
+@pytest.mark.parametrize("state", ["vacuum", "thermal", "random"])
+def test_probabilities_match_extended_precision_projectors(cutoff, state):
+    # far tails included: without the exact zeros of A, round-off in the
+    # high-k entries swamps p there
+    dim = cutoff + 1
+    if state == "vacuum":
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[0, 0] = 1.0
+    elif state == "thermal":
+        rho = np.diag((0.8 / 1.8) ** np.arange(dim)).astype(complex)
+        rho /= np.trace(rho).real
+    else:
+        rho = random_density(dim, seed=cutoff)
+    q = np.linspace(-10.0, 10.0, 1201)
+    theta = np.resize(np.array([-45.0, 0.0, 22.5, 90.0, 131.0]), q.size)
+    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
+    want = longdouble_probabilities(rho, theta, q, cutoff)
+    p = tables.probabilities(rho)[column]
+    assert np.max(np.abs(p - want) / want) <= 1e-12
 
 
 def complex_rrr(dataset, cutoff, tolerance, max_iterations):
