@@ -90,9 +90,6 @@ class TwoModeState:
             out[k : k + self.signal_config.dim] += a2[:, k]
         return out
 
-    def idler_marginal(self) -> np.ndarray:
-        return np.sum(np.abs(self.amplitudes) ** 2, axis=0)
-
 
 @dataclass(frozen=True)
 class HeraldResult:

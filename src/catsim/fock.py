@@ -336,17 +336,22 @@ def hermite_functions(cutoff: int, q) -> np.ndarray:
 
     Evaluated with the normalized upward Hermite recurrence
       psi_{n+1}(q) = sqrt(2/(n+1))·q·psi_n(q) − sqrt(n/(n+1))·psi_{n-1}(q),
-    which stays finite far past the factorial-overflow range.
+    which stays finite far past the factorial-overflow range. It runs on
+    psi_n·e^{q^2/4} from pi^{-1/4}·e^{-q^2/4}, and each row takes the other
+    e^{-q^2/4} at the end: the start is a normal float out to |q| ≈ 53, where
+    e^{-q^2/2} is subnormal beyond |q| ≈ 37.6.
     """
     if cutoff < 0:
         raise DomainError(f"cutoff must be >= 0, got {cutoff}")
     q = np.atleast_1d(np.asarray(q, dtype=float))
+    half = np.exp(-0.25 * q * q)
     psi = np.zeros((cutoff + 1, q.size))
-    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * q * q)
+    psi[0] = np.pi ** -0.25 * half
     if cutoff >= 1:
         psi[1] = math.sqrt(2.0) * q * psi[0]
     for n in range(1, cutoff):
         psi[n + 1] = math.sqrt(2.0 / (n + 1)) * q * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    psi *= half
     return psi
 
 

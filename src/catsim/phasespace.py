@@ -3,19 +3,28 @@ matrices, and marginal distributions, all derived from a Fock-basis state.
 
 The Wigner function is normalized so that its double integral is 1 and the
 vacuum peaks at 1/pi; its value at the origin is 1/pi times the photon-number
-parity expectation.
+parity expectation. W is evaluated without per-element special functions:
+it sums the Fock-basis Laguerre kernels band by band (d = m - n), with the
+normalized Laguerre factors of each band taken from their upward three-term
+recurrence over n, as in QuTiP's Laguerre summation (Johansson, Nation,
+Nori, CPC 184, 1234 (2013)).
 
-Both grid pictures are evaluated without per-element special functions:
-- W sums the Fock-basis Laguerre kernels band by band (d = m - n), with the
-  normalized Laguerre factors of each band taken from their upward
-  three-term recurrence over n, as in QuTiP's Laguerre summation (Johansson,
-  Nation, Nori, CPC 184, 1234 (2013)).
-- A marginal sweep over many angles is one matrix product: psi_n(q) does not
-  depend on theta, so Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q) with
-  B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q) built once per state. A
-  single marginal is the one-angle case.
+Every read of the quadrature diagonal goes through one product basis. With
+<n|q,theta> = psi_n(q)·u_n, psi_n real, u = e^{i n theta}, U = diag(u) and
+M_theta = Re(U^† rho U),
+  Pr(q | theta) = sum_{n,m} M_theta[n, m]·psi_n(q)·psi_m(q).
+psi_n·psi_m is e^{-q^2} times a polynomial of degree n + m and parity
+n + m, so it lies exactly in the span of the orthonormal functions
+phi_k(q) = 2^{1/4}·psi_k(sqrt(2)·q), k = 0..2·cutoff:
+  psi_n·psi_m = sum_k A[k, n, m]·phi_k,   A[k, n, m] = ∫ psi_n psi_m phi_k dq,
+with A exactly zero unless k <= n + m and k = n + m (mod 2). So
+Pr(q | theta) = b_theta · Phi(q), with b_theta = A·vec(M_theta) and Phi the
+table of phi_k(q): a marginal sweep is one product, and the tomography
+likelihood reads its records the same way. As psi_m(-q) = (-1)^m psi_m(q),
+the ket phases (-1)^m·u_m give Re rho(q, -q), the coherence read-out, with
+no q x q table.
 
-rho(q, q') is built in real arithmetic from the same real table psi_n(q),
+rho(q, q') is built in real arithmetic from the real table psi_n(q),
 symmetrised so that it is exactly Hermitian. At theta = 0 and pi/2 the phase
 factors e^{i n theta} are exact (1 and i^n), so a real state whose elements
 vanish wherever n - m is odd, as every model state does, gets an imaginary
@@ -26,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -101,10 +111,6 @@ class QuadDensityMatrix:
     @property
     def diagonal(self) -> np.ndarray:
         return self.values.diagonal().real
-
-    def antidiagonal(self) -> np.ndarray:
-        """Re rho(q, -q) along the axis; requires a symmetric axis."""
-        return self.values[:, ::-1].diagonal().real
 
 
 def _wigner_values(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -210,14 +216,58 @@ def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
     raise ConvergenceError("Wigner quadrature did not converge under grid refinement")
 
 
-def _phase_factors(theta: float, dim: int) -> np.ndarray:
-    """u_n = e^{i n theta} for n < dim; exactly i^n at theta = pi/2 and 1 at theta = 0."""
+def _axis_values(axis: QuadGrid | np.ndarray) -> np.ndarray:
+    return axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
+
+
+def _phase_factors(thetas, dim: int) -> np.ndarray:
+    """u[t, n] = e^{i n theta_t} for n < dim, one row per angle (radians);
+    exactly 1 at theta = 0 and i^n at theta = pi/2."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     n = np.arange(dim)
-    if theta == 0.0:
-        return np.ones(dim, dtype=complex)
-    if theta == math.pi / 2:
-        return np.array([1.0, 1j, -1.0, -1j])[n % 4]
-    return np.exp(1j * n * theta)
+    u = np.exp(1j * thetas[:, None] * n)
+    u[thetas == 0.0] = 1.0
+    u[thetas == math.pi / 2] = np.array([1.0, 1j, -1.0, -1j])[n % 4]
+    return u
+
+
+def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:
+    """phi[k, j] = phi_k(q_j) = 2^{1/4}·psi_k(sqrt(2)·q_j) for k <= 2·cutoff."""
+    phi = hermite_functions(2 * cutoff, math.sqrt(2.0) * q)
+    phi *= 2.0**0.25
+    return phi
+
+
+@lru_cache(maxsize=None)
+def _product_map(cutoff: int) -> np.ndarray:
+    """A[k, n, m] = ∫ psi_n psi_m phi_k dq for k <= 2·cutoff, as a read-only
+    (2·cutoff+1, dim^2) array, built once per cutoff.
+
+    In x = sqrt(2)·q the integrand is e^{-x^2} times a polynomial of degree
+    n + m + k <= 4·cutoff, which Gauss-Hermite quadrature on 2·cutoff + 1
+    nodes integrates exactly. Entries outside k <= n + m, k = n + m (mod 2)
+    vanish by orthogonality and parity and are set to exact zero; left at
+    their ~1e-15 round-off, they would swamp the density far out in the tails.
+    """
+    x, w = np.polynomial.hermite.hermgauss(2 * cutoff + 1)
+    q = x / math.sqrt(2.0)
+    psi = hermite_functions(cutoff, q)
+    pairs = (psi[:, None, :] * psi[None, :, :]).reshape(-1, x.size)
+    a = (_phi_table(cutoff, q) * (w * np.exp(x * x) / math.sqrt(2.0))) @ pairs.T
+    k, n, m = np.ogrid[: 2 * cutoff + 1, : cutoff + 1, : cutoff + 1]
+    a[((k > n + m) | ((k + n + m) % 2 == 1)).reshape(a.shape)] = 0.0
+    a.setflags(write=False)
+    return a
+
+
+def _coefficients(rho: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
+    """b[t] = A·vec(Re(U_t^† rho V_t)), one row per row of the phase factors
+    u (and v, which defaults to u), so that
+      b[t] · Phi(q) = Re sum_{n,m} conj(u[t, n])·rho[n, m]·v[t, m]·psi_n(q)·psi_m(q).
+    With v = u that is Pr(q | theta_t)."""
+    v = u if v is None else v
+    m = (u.conj()[:, :, None] * rho * v[:, None, :]).real
+    return m.reshape(len(m), -1) @ _product_map(rho.shape[0] - 1).T
 
 
 def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> QuadDensityMatrix:
@@ -233,11 +283,11 @@ def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> Q
     phase factors that holds for any real rho at theta = 0, and at theta =
     pi/2 for a real rho that vanishes wherever n - m is odd.
     """
-    q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
+    q = _axis_values(axis)
     elements = np.asarray(rho.elements)
     dim = elements.shape[0]
     psi = hermite_functions(dim - 1, q)
-    u = _phase_factors(theta, dim)
+    u = _phase_factors(theta, dim)[0]
     m = u.conj()[:, None] * elements * u[None, :]
     values = np.zeros((q.size, q.size), dtype=complex)
     re = psi.T @ m.real @ psi
@@ -248,43 +298,26 @@ def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> Q
     return QuadDensityMatrix(axis=q, values=values, theta=theta)
 
 
-def _sweep(rho: DensityMatrix, thetas: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Pr(q | theta) for each theta (radians), one row per angle."""
+def _marginals(rho: DensityMatrix, thetas, q: np.ndarray) -> np.ndarray:
+    """Pr(q | theta) = b_theta · Phi(q), one row per angle (radians)."""
     elements = np.asarray(rho.elements)
     dim = elements.shape[0]
-    parts = [elements.real] + ([elements.imag] if np.any(elements.imag) else [])
-    psi = hermite_functions(dim - 1, q)
-    bands = np.empty((len(parts), dim, q.size))  # Re B_d, then Im B_d if rho is complex
-    for d in range(dim):
-        product = psi[: dim - d] * psi[d:]
-        for band, part in zip(bands, parts):
-            band[d] = np.diagonal(part, d) @ product
-    phases = np.stack([_phase_factors(float(t), dim) for t in thetas])
-    phases[:, 1:] *= 2.0
-    # Re(c B) = Re(c) Re(B) - Im(c) Im(B), all in real arithmetic
-    out = phases.real @ bands[0]
-    if len(parts) == 2:
-        out -= phases.imag @ bands[1]
-    return out
+    return _coefficients(elements, _phase_factors(thetas, dim)) @ _phi_table(dim - 1, q)
 
 
 def marginal(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> np.ndarray:
     """Probability density Pr(q | theta), the diagonal of rho_quad: one angle of the sweep."""
-    q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    return _sweep(rho, np.array([theta], dtype=float), q)[0]
+    return _marginals(rho, theta, _axis_values(axis))[0]
 
 
 def marginal_sweep(
     rho: DensityMatrix, angles_deg: np.ndarray, axis: QuadGrid | np.ndarray
 ) -> np.ndarray:
-    """Stack of marginals, one row per angle (degrees).
-
-    One product for every angle: with B_d(q) = sum_n rho_{n,n+d} psi_n(q) psi_{n+d}(q),
-    Pr(q | theta) = Re sum_d c_d e^{i d theta} B_d(q), c_0 = 1 and c_d = 2 for d > 0,
-    with the phase factors exact at 0 and 90 degrees.
-    """
-    q = axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-    return _sweep(rho, np.deg2rad(np.asarray(angles_deg, dtype=float)), q)
+    """Stack of marginals, one row per angle (degrees): one product of the
+    angles' coefficients with the phi table of the axis, with the phase
+    factors exact at 0 and 90 degrees."""
+    thetas = np.deg2rad(np.asarray(angles_deg, dtype=float))
+    return _marginals(rho, thetas, _axis_values(axis))
 
 
 def origin_parity(rho: DensityMatrix) -> float:
@@ -330,8 +363,7 @@ def save_wigner_csv(grid: WignerGrid, path) -> None:
 def save_marginal_sweep_csv(angles_deg, axis, sweep: np.ndarray, path) -> None:
     """Long-format CSV of a marginal sweep: theta_deg, q, density."""
     head = ["# basis=marginal-sweep", "theta_deg,q,density"]
-    q = axis.axis if isinstance(axis, QuadGrid) else axis
-    write_rows(path, head, _grid_blocks(angles_deg, q, sweep))
+    write_rows(path, head, _grid_blocks(angles_deg, _axis_values(axis), sweep))
 
 
 class CoherencePeak(NamedTuple):
@@ -340,10 +372,20 @@ class CoherencePeak(NamedTuple):
     off_diagonal_value: float
 
 
-def coherence_peak(
-    rho: DensityMatrix, axis: QuadGrid | np.ndarray | None = None, theta: float = np.pi / 2
-) -> CoherencePeak:
-    """Locate the non-negative diagonal peak of rho(q, q) and read rho(q, -q) there.
+def _coherence_profile(rho: DensityMatrix, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re rho(q, q) and Re rho(q, -q) in the momentum basis, along q; the
+    second is sum M[n, m]·(-1)^m·psi_n(q)·psi_m(q), M = Re(U^† rho U)."""
+    elements = np.asarray(rho.elements)
+    dim = elements.shape[0]
+    u = _phase_factors(math.pi / 2, dim)
+    b = _coefficients(elements, np.vstack([u, u]), np.vstack([u, u * (-1.0) ** np.arange(dim)]))
+    diagonal, antidiagonal = b @ _phi_table(dim - 1, q)
+    return diagonal, antidiagonal
+
+
+def coherence_peak(rho: DensityMatrix, axis: QuadGrid | np.ndarray | None = None) -> CoherencePeak:
+    """Locate the non-negative peak of the momentum diagonal rho(p, p) and read
+    rho(p, -p) there.
 
     The off-diagonal value at the diagonal peaks is the interference witness
     separating coherent superpositions from classical mixtures; the axis must
@@ -353,11 +395,7 @@ def coherence_peak(
     q = grid.axis
     if abs(q[0] + q[-1]) > 1e-9:
         raise DomainError("coherence_peak requires an axis symmetric about zero")
-    qdm = rho_quad(rho, theta, grid)
-    diag = qdm.diagonal
-    half = q >= 0.0
-    idx_half = int(np.argmax(diag[half]))
-    idx = np.nonzero(half)[0][idx_half]
-    mirror = q.size - 1 - idx  # index of -q on a symmetric axis
-    off = float(qdm.values[idx, mirror].real)
-    return CoherencePeak(position=float(q[idx]), diagonal_value=float(diag[idx]), off_diagonal_value=off)
+    diagonal, antidiagonal = _coherence_profile(rho, q)
+    half = np.flatnonzero(q >= 0.0)
+    idx = half[np.argmax(diagonal[half])]
+    return CoherencePeak(float(q[idx]), float(diagonal[idx]), float(antidiagonal[idx]))

@@ -32,8 +32,8 @@ from .fock import (
     save_density_matrix,
 )
 from .phasespace import (
-    QuadDensityMatrix,
     QuadGrid,
+    _coherence_profile,
     coherence_peak,
     marginal_sweep,
     origin_parity,
@@ -127,9 +127,10 @@ def _write_photon_distribution(rho: DensityMatrix, path: Path) -> None:
     write_rows(path, ["n,probability"], [(n, fields(rho.diagonal))])
 
 
-def _write_coherence_profile(qdm: QuadDensityMatrix, path: Path) -> None:
-    """Re rho(p, p) and Re rho(p, -p) along the axis, from the momentum-basis table."""
-    columns = (fields(qdm.axis), fields(qdm.diagonal), fields(qdm.antidiagonal()))
+def _write_coherence_profile(rho: DensityMatrix, axis: QuadGrid, path: Path) -> None:
+    """Re rho(p, p) and Re rho(p, -p) along the axis, as coherence_peak reads them."""
+    diagonal, antidiagonal = _coherence_profile(rho, axis.axis)
+    columns = (fields(axis.axis), fields(diagonal), fields(antidiagonal))
     write_rows(path, ["p,re_diag,re_antidiag"], [columns])
 
 
@@ -161,10 +162,9 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
         d.mkdir(parents=True, exist_ok=True)
         save_density_matrix(rho, d / "density_matrix.json")
         _write_photon_distribution(rho, d / "photon_distribution.csv")
-        rho_pp = rho_quad(rho, math.pi / 2, quad_axis)
-        save_quad_csv(rho_pp, d / "rho_pp.csv")
+        save_quad_csv(rho_quad(rho, math.pi / 2, quad_axis), d / "rho_pp.csv")
         save_quad_csv(rho_quad(rho, 0.0, quad_axis), d / "rho_xx.csv")
-        _write_coherence_profile(rho_pp, d / "coherence.csv")
+        _write_coherence_profile(rho, quad_axis, d / "coherence.csv")
         wg = wigner(rho, wx, wx)
         wigner_min[name] = float(wg.values.min())
         save_wigner_csv(wg, d / "wigner.csv")

@@ -235,12 +235,10 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _peak_window(params: TesParams, h_min: float, shape: np.ndarray | None = None) -> np.ndarray:
+def _peak_window(params: TesParams, h_min: float, shape: np.ndarray) -> np.ndarray:
     """Sorted trace columns that can hold the maximum of a pulse of height >= h_min,
     plus the pre-onset columns; every column when h_min <= 0. `shape` is
-    params.pulse_shape(), passed in by callers that already hold it."""
-    if shape is None:
-        shape = params.pulse_shape()
+    params.pulse_shape()."""
     if h_min <= 0:
         return np.arange(shape.size)
     keep = h_min * (1.0 - shape) <= 2 * PEAK_WINDOW_SIGMAS * params.noise_floor

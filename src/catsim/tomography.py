@@ -12,20 +12,12 @@ Knill and Girard, NJP 14, 095017, 2012). The iteration stops once g is at
 most the configured gap tolerance. No efficiency or loss compensation of
 any kind is applied.
 
-The kernel works in real arithmetic on a product basis. The quadrature
-eigenvector is <n|q,theta> = psi_n(q)·u_n with psi_n real and
-u = e^{i n theta} shared by every record of a phase, so with U = diag(u)
-and M_theta = Re(U^† rho U),
-  p_j = sum_{n,m} M_theta[n, m]·psi_n(q_j)·psi_m(q_j).
-psi_n·psi_m is e^{-q^2} times a polynomial of degree n + m and parity
-n + m, so it lies exactly in the span of the orthonormal functions
-phi_k(q) = 2^{1/4}·psi_k(sqrt(2)·q), k = 0..2·cutoff:
-  psi_n·psi_m = sum_k A[k, n, m]·phi_k,   A[k, n, m] = ∫ psi_n psi_m phi_k dq.
-A is computed once per set of tables by Gauss-Hermite quadrature, exact for
-its degree-4·cutoff integrand, and is set to exact zero unless
-k <= n + m and k = n + m (mod 2); left at their ~1e-15 round-off, those
-entries would swamp p_j far out in the tails. With Phi the real
-((2·cutoff+1) x records) table of phi_k(q_j) at a phase,
+The kernel works in real arithmetic on the product basis of
+catsim.phasespace: <n|q,theta> = psi_n(q)·u_n with u = e^{i n theta}
+shared by every record of a phase, and psi_n·psi_m = sum_k A[k, n, m]·phi_k
+with phi_k(q) = 2^{1/4}·psi_k(sqrt(2)·q), k = 0..2·cutoff. With U = diag(u),
+M_theta = Re(U^† rho U) and Phi the real ((2·cutoff+1) x records) table of
+phi_k(q_j) at a phase,
   p = (A·M_theta)^T Phi,
   R = sum_theta U (A^T·(Phi w/p)) U^†,
 where A·M_theta contracts (n, m) and A^T·c sums over k. Each iteration
@@ -55,14 +47,10 @@ from .errors import (
     NonConvergenceWarning,
     SingularLikelihoodError,
 )
-from .fock import (
-    DensityMatrix,
-    HilbertConfig,
-    hermite_functions,
-    mean_photon,
-    quadrature_basis,
+from .fock import DensityMatrix, HilbertConfig, mean_photon, quadrature_basis
+from .phasespace import (
+    _coefficients, _phase_factors, _phi_table, _product_map, coherence_peak, origin_parity,
 )
-from .phasespace import coherence_peak, origin_parity
 from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
 _PROB_FLOOR = 1e-290
@@ -144,7 +132,7 @@ class _PhaseTables:
 
     <n|q_j,theta> = psi_n(q_j)·u_n with u = e^{i n theta}, so every record
     of one phase shares u, and p_j = b_theta · phi(q_j) with
-    b_theta = A·vec(Re(U^† rho U)) (see the module docstring). `amap` is A
+    b_theta = A·vec(Re(U^† rho U)) (see catsim.phasespace). `amap` is A
     with (n, m) flattened, exactly zero unless k <= n + m and k = n + m
     (mod 2). `weights` and `index` run phase by phase, in the column order
     of `phi`. At 60k records and cutoff 15 the phi tables hold 14.2 MB.
@@ -160,8 +148,7 @@ class _PhaseTables:
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """p = (A·Re(U^† rho U))^T Phi: one small GEMM, then one GEMV per phase."""
-        m = (self.u.conj()[:, :, None] * rho * self.u[:, None, :]).real
-        b = m.reshape(len(m), -1) @ self.amap.T
+        b = _coefficients(rho, self.u)
         return np.concatenate([bk @ phi for bk, phi in zip(b, self.phi)])
 
     def r_operator(self, p: np.ndarray) -> np.ndarray:
@@ -197,37 +184,6 @@ class _PhaseTables:
         return _PhaseTables(
             self.u, self.uu, self.amap, phi, weights[keep], self.index[keep], self.unit
         )
-
-
-def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:
-    """phi[k, j] = phi_k(q_j) = 2^{1/4}·psi_k(sqrt(2)·q_j) for k <= 2·cutoff.
-
-    The recurrence starts from e^{-q^2}, which is subnormal beyond
-    |q| ≈ 26.6: p of a record out there loses digits (1e-7 relative at
-    q = 27) and underflows to 0 by q = 28, where psi_n(q)^2 still holds
-    values near 1e-280 at cutoff 30.
-    """
-    phi = hermite_functions(2 * cutoff, math.sqrt(2.0) * q)
-    phi *= 2.0**0.25
-    return phi
-
-
-def _product_map(cutoff: int) -> np.ndarray:
-    """A[k, n, m] = ∫ psi_n psi_m phi_k dq for k <= 2·cutoff, as (2·cutoff+1, dim^2).
-
-    In x = sqrt(2)·q the integrand is e^{-x^2} times a polynomial of degree
-    n + m + k <= 4·cutoff, which Gauss-Hermite quadrature on 2·cutoff + 1
-    nodes integrates exactly. Entries outside k <= n + m, k = n + m (mod 2)
-    vanish by orthogonality and parity and are set to exact zero.
-    """
-    x, w = np.polynomial.hermite.hermgauss(2 * cutoff + 1)
-    q = x / math.sqrt(2.0)
-    psi = hermite_functions(cutoff, q)
-    pairs = (psi[:, None, :] * psi[None, :, :]).reshape(-1, x.size)
-    a = (_phi_table(cutoff, q) * (w * np.exp(x * x) / math.sqrt(2.0))) @ pairs.T
-    k, n, m = np.ogrid[: 2 * cutoff + 1, : cutoff + 1, : cutoff + 1]
-    a[((k > n + m) | ((k + n + m) % 2 == 1)).reshape(a.shape)] = 0.0
-    return a
 
 
 def _phase_tables(
@@ -273,7 +229,7 @@ def _phase_tables(
         phi.append(_phi_table(cutoff, points))
         weights.append(counts)
     weights = np.concatenate(weights)
-    u = np.exp(1j * np.deg2rad(phases)[:, None] * np.arange(cutoff + 1))
+    u = _phase_factors(np.deg2rad(phases), cutoff + 1)
     uu = u[:, :, None] * u.conj()[:, None, :]
     amap = _product_map(cutoff)
     if bin_width is None:

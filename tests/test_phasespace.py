@@ -5,6 +5,7 @@ import pytest
 from scipy.special import eval_genlaguerre, gammaln
 
 from catsim.channels import ExperimentParams, herald_subtract, input_state, loss_channel
+from catsim.config import preset
 from catsim.errors import DomainError
 from catsim.fock import (
     DensityMatrix,
@@ -20,6 +21,7 @@ from catsim.phasespace import (
     QuadDensityMatrix,
     QuadGrid,
     WignerGrid,
+    _coherence_profile,
     coherence_peak,
     marginal,
     marginal_sweep,
@@ -32,6 +34,7 @@ from catsim.phasespace import (
     wigner_integral_oracle,
     wigner_values,
 )
+from catsim.pipeline import _build_states
 
 CFG = HilbertConfig(30)
 
@@ -194,13 +197,38 @@ def test_even_cat_momentum_peaks_and_overlap():
 
 
 def test_even_parity_states_have_equal_diag_antidiag():
-    axis = QuadGrid.default()
+    axis = QuadGrid.default().axis
     for state in (
         squeezed_vacuum(SqueezeSpec(0.576), CFG),
         cat_state(2.5j, "even", CFG),
     ):
-        qdm = rho_quad(state.to_density(), math.pi / 2, axis)
-        assert np.max(np.abs(qdm.diagonal - qdm.antidiagonal())) < 1e-10
+        diagonal, antidiagonal = _coherence_profile(state.to_density(), axis)
+        assert np.max(np.abs(diagonal - antidiagonal)) < 1e-10
+
+
+def coherence_states(source):
+    if source == "default":
+        return default_states()
+    if source == "cat_panels":
+        return list(_build_states(preset("cat_panels")).values())
+    return [random_dm(seed, cutoff) for seed, cutoff in ((31, 8), (32, 15), (33, 30))]
+
+
+@pytest.mark.parametrize("source", ["default", "cat_panels", "random"])
+def test_coherence_peak_reads_the_rho_quad_table(source):
+    grid = QuadGrid.default()
+    q = grid.axis
+    for rho in coherence_states(source):
+        table = rho_quad(rho, math.pi / 2, grid)
+        diagonal, antidiagonal = _coherence_profile(rho, q)
+        assert np.max(np.abs(diagonal - table.diagonal)) <= 1e-14
+        assert np.max(np.abs(antidiagonal - table.values[:, ::-1].diagonal().real)) <= 1e-14
+        half = np.flatnonzero(q >= 0.0)
+        idx = half[np.argmax(table.diagonal[half])]
+        peak = coherence_peak(rho, grid)
+        assert peak.position == q[idx]
+        assert abs(peak.diagonal_value - table.diagonal[idx]) <= 1e-14
+        assert abs(peak.off_diagonal_value - table.values[idx, q.size - 1 - idx].real) <= 1e-14
 
 
 def test_loss_degrades_interference():

@@ -267,7 +267,7 @@ def test_peak_window_heights_equal_full_trace_heights(n):
     rng = np.random.default_rng(100 + n)
     heights = n + rng.normal(0.0, params.sigma_ev / params.photon_energy_ev, BLOCK_TRIALS)
     noise = rng.normal(0.0, sigma, (BLOCK_TRIALS, shape.size))
-    cols = _peak_window(params, heights.min())
+    cols = _peak_window(params, heights.min(), shape)
     pulse = cols[cols >= params.onset_index]
     assert np.array_equal(pulse, np.arange(pulse[0], pulse[-1] + 1))
     assert params.onset_index < pulse[0] and pulse[-1] + 1 < shape.size  # a real cut
@@ -293,10 +293,11 @@ def test_peak_window_heights_equal_full_trace_heights(n):
 
 
 def test_noiseless_window_is_baseline_and_peak():
-    peak = int(QUIET.pulse_shape().argmax())
-    assert _peak_window(QUIET, 0.5).tolist() == [*range(QUIET.onset_index), peak]
-    assert _peak_window(QUIET, 0.0).size == QUIET.samples_per_trace
-    assert _peak_window(DEFAULTS, -0.1).size == DEFAULTS.samples_per_trace
+    shape = QUIET.pulse_shape()
+    peak = int(shape.argmax())
+    assert _peak_window(QUIET, 0.5, shape).tolist() == [*range(QUIET.onset_index), peak]
+    assert _peak_window(QUIET, 0.0, shape).size == QUIET.samples_per_trace
+    assert _peak_window(DEFAULTS, -0.1, DEFAULTS.pulse_shape()).size == DEFAULTS.samples_per_trace
 
 
 def test_confusion_is_independent_of_thread_count(monkeypatch):
@@ -313,7 +314,7 @@ def test_confusion_equals_full_trace_estimator_on_the_same_streams():
     params = TesParams(noise_floor=0.15)
     n_max, trials, seed = 2, 5_001, 9
     shape = params.pulse_shape()
-    assert _peak_window(params, n_max).size == shape.size  # every block draws the whole trace
+    assert _peak_window(params, n_max, shape).size == shape.size  # every block draws the whole trace
     sigma_rel = params.sigma_ev / params.photon_energy_ev
     per_row = -(-trials // (n_max + 1))
     counts = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)

@@ -16,6 +16,7 @@ from catsim.errors import (
     SingularLikelihoodError,
 )
 from catsim.fock import (
+    DensityMatrix,
     HilbertConfig,
     hermite_functions,
     SqueezeSpec,
@@ -25,13 +26,12 @@ from catsim.fock import (
     squeezed_vacuum,
     trace_distance,
 )
-from catsim.phasespace import marginal, origin_parity
+from catsim.phasespace import _phi_table, _product_map, marginal, marginal_sweep, origin_parity
 from catsim.sampler import HomodyneDataset, PhasePlan, synth_dataset
 from catsim.tomography import (
     BootstrapReport,
     MleConfig,
     _phase_tables,
-    _product_map,
     bootstrap,
     log_likelihood,
     mle_reconstruct,
@@ -261,6 +261,35 @@ def test_probabilities_match_extended_precision_projectors(cutoff, state):
     want = longdouble_probabilities(rho, theta, q, cutoff)
     p = tables.probabilities(rho)[column]
     assert np.max(np.abs(p - want) / want) <= 1e-12
+    # the likelihood and the marginal sweep read one coefficient function and one phi table
+    state = DensityMatrix(rho, HilbertConfig(cutoff))
+    swept = np.empty(q.size)
+    for t in np.unique(theta):
+        sel = theta == t
+        swept[sel] = marginal_sweep(state, [t], q[sel])[0]
+    assert np.max(np.abs(p - swept)) <= 1e-15
+
+
+@pytest.mark.parametrize("cutoff", [15, 30])
+def test_far_records_keep_their_probability(cutoff):
+    # phi_k(q) = 2^{1/4} psi_k(sqrt(2) q) carries e^{-q^2}, itself subnormal beyond
+    # |q| ≈ 26.6; a value that is a normal float must keep its digits there
+    q = np.array([27.0, -27.0, 28.0, -28.0, 35.0])
+    theta = np.array([0.0, -45.0, 22.5, 131.0, 90.0])
+    tiny = np.finfo(float).tiny
+    ref = 2 ** np.longdouble(0.25) * longdouble_hermite(2 * cutoff, math.sqrt(2.0) * q)
+    phi = _phi_table(cutoff, q)
+    normal = np.abs(ref) > tiny
+    assert np.max(np.abs((phi[normal] - ref[normal]) / ref[normal])) <= 1e-13
+    assert np.max(np.abs(phi[~normal] - ref[~normal])) <= tiny
+    rho = random_density(cutoff + 1, seed=cutoff)
+    want = longdouble_probabilities(rho, theta, q, cutoff)
+    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
+    p = tables.probabilities(rho)[column]
+    normal = want > tiny
+    assert normal[:4].all() and not normal[4]  # q = 35 is below the double range
+    assert np.max(np.abs(p[normal] - want[normal]) / want[normal]) <= 1e-12
+    assert np.max(np.abs(p[~normal] - want[~normal])) <= tiny
 
 
 def complex_rrr(dataset, cutoff, tolerance, max_iterations):
