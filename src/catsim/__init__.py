@@ -34,7 +34,6 @@ from .fock import (
 from .phasespace import (
     CoherencePeak,
     QuadDensityMatrix,
-    QuadGrid,
     WignerGrid,
     coherence_peak,
     marginal,

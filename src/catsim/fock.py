@@ -5,7 +5,8 @@ Conventions used throughout the package (hbar = 1):
 The quadrature eigenfunction at angle theta is expanded as
   <n|q_theta> = psi_n(q) · exp(i·n·theta)
 with psi_n the real harmonic-oscillator wavefunction, so theta = 0 is the
-position basis and theta = pi/2 the momentum basis.
+position basis and theta = pi/2 the momentum basis. Every e^{i n theta} in
+the package comes from `_phase_factors`, exact at theta = 0 and pi/2.
 """
 
 from __future__ import annotations
@@ -56,10 +57,6 @@ class SqueezeSpec:
     def __post_init__(self):
         if not (0.0 <= self.r < math.inf):
             raise DomainError(f"squeezing parameter must be finite and >= 0, got {self.r}")
-
-    @classmethod
-    def from_r(cls, r: float) -> "SqueezeSpec":
-        return cls(r=float(r))
 
     @classmethod
     def from_db(cls, level_db: float) -> "SqueezeSpec":
@@ -355,13 +352,20 @@ def hermite_functions(cutoff: int, q) -> np.ndarray:
     return psi
 
 
+def _phase_factors(thetas, dim: int) -> np.ndarray:
+    """u[t, n] = e^{i n theta_t} for n < dim, one row per angle (radians);
+    exactly 1 at theta = 0 and i^n at theta = pi/2."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    n = np.arange(dim)
+    u = np.exp(1j * thetas[:, None] * n)
+    u[thetas == 0.0] = 1.0
+    u[thetas == math.pi / 2] = np.array([1.0, 1j, -1.0, -1j])[n % 4]
+    return u
+
+
 def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
     """Matrix W[n, i] = <n|q_i, theta> = psi_n(q_i)·e^{i n theta}."""
-    psi = hermite_functions(cutoff, q)
-    if theta == 0.0:
-        return psi.astype(complex)
-    phases = np.exp(1j * np.arange(cutoff + 1) * theta)
-    return psi * phases[:, None]
+    return hermite_functions(cutoff, q) * _phase_factors(theta, cutoff + 1)[0][:, None]
 
 
 def quadrature_wavefunction(n: int, q, theta: float = 0.0):
@@ -385,6 +389,6 @@ def phase_rotated(rho: DensityMatrix, theta: float) -> DensityMatrix:
     Measuring the rotated state at phase 0 reproduces the quadrature
     statistics of rho measured at phase theta.
     """
-    phases = np.exp(-1j * np.arange(rho.config.dim) * theta)
-    rot = (phases[:, None] * rho.elements) * phases.conj()[None, :]
+    u = _phase_factors(theta, rho.config.dim)[0]
+    rot = (u.conj()[:, None] * rho.elements) * u[None, :]
     return DensityMatrix(rot, rho.config)

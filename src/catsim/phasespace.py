@@ -23,12 +23,6 @@ table of phi_k(q): a marginal sweep is one product, and the tomography
 likelihood reads its records the same way. As psi_m(-q) = (-1)^m psi_m(q),
 the ket phases (-1)^m·u_m give Re rho(q, -q), the coherence read-out, with
 no q x q table.
-
-rho(q, q') is built in real arithmetic from the real table psi_n(q),
-symmetrised so that it is exactly Hermitian. At theta = 0 and pi/2 the phase
-factors e^{i n theta} are exact (1 and i^n), so a real state whose elements
-vanish wherever n - m is odd, as every model state does, gets an imaginary
-part of exact zeros there.
 """
 
 from __future__ import annotations
@@ -42,43 +36,15 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .export import fields, write_rows
-from .fock import DensityMatrix, hermite_functions, quadrature_basis
+from .fock import DensityMatrix, _phase_factors, hermite_functions, quadrature_basis
 
-DEFAULT_QUAD_RANGE = (-6.0, 6.0)
-DEFAULT_QUAD_POINTS = 241
 DEFAULT_WIGNER_RANGE = (-5.0, 5.0)
 DEFAULT_WIGNER_POINTS = 201
 
 _IMAG_RESIDUE_TOL = 1e-10
 
-
-@dataclass(frozen=True)
-class QuadGrid:
-    """Uniform quadrature axis."""
-
-    axis: np.ndarray
-
-    def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.ndim != 1 or axis.size < 3:
-            raise DomainError("axis must be one-dimensional with at least 3 points")
-        steps = np.diff(axis)
-        if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-            raise DomainError("axis must be strictly increasing with uniform spacing")
-        object.__setattr__(self, "axis", axis)
-
-    @classmethod
-    def default(cls) -> "QuadGrid":
-        lo, hi = DEFAULT_QUAD_RANGE
-        return cls(np.linspace(lo, hi, DEFAULT_QUAD_POINTS))
-
-    @classmethod
-    def linspace(cls, lo: float, hi: float, points: int) -> "QuadGrid":
-        return cls(np.linspace(lo, hi, points))
-
-    @property
-    def spacing(self) -> float:
-        return float(self.axis[1] - self.axis[0])
+_COHERENCE_AXIS = np.linspace(-6.0, 6.0, 241)  # the one axis coherence_peak reads on
+_COHERENCE_AXIS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -216,21 +182,6 @@ def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
     raise ConvergenceError("Wigner quadrature did not converge under grid refinement")
 
 
-def _axis_values(axis: QuadGrid | np.ndarray) -> np.ndarray:
-    return axis.axis if isinstance(axis, QuadGrid) else np.asarray(axis, dtype=float)
-
-
-def _phase_factors(thetas, dim: int) -> np.ndarray:
-    """u[t, n] = e^{i n theta_t} for n < dim, one row per angle (radians);
-    exactly 1 at theta = 0 and i^n at theta = pi/2."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    n = np.arange(dim)
-    u = np.exp(1j * thetas[:, None] * n)
-    u[thetas == 0.0] = 1.0
-    u[thetas == math.pi / 2] = np.array([1.0, 1j, -1.0, -1j])[n % 4]
-    return u
-
-
 def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:
     """phi[k, j] = phi_k(q_j) = 2^{1/4}·psi_k(sqrt(2)·q_j) for k <= 2·cutoff."""
     phi = hermite_functions(2 * cutoff, math.sqrt(2.0) * q)
@@ -270,7 +221,7 @@ def _coefficients(rho: np.ndarray, u: np.ndarray, v: np.ndarray | None = None) -
     return m.reshape(len(m), -1) @ _product_map(rho.shape[0] - 1).T
 
 
-def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> QuadDensityMatrix:
+def rho_quad(rho: DensityMatrix, theta: float, axis: np.ndarray) -> QuadDensityMatrix:
     """Density matrix in the rotated quadrature basis.
 
     rho(q, q') = sum_{n,m} <q_theta|n> rho_{n,m} <m|q'_theta>, with theta = 0
@@ -283,7 +234,7 @@ def rho_quad(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> Q
     phase factors that holds for any real rho at theta = 0, and at theta =
     pi/2 for a real rho that vanishes wherever n - m is odd.
     """
-    q = _axis_values(axis)
+    q = np.asarray(axis, dtype=float)
     elements = np.asarray(rho.elements)
     dim = elements.shape[0]
     psi = hermite_functions(dim - 1, q)
@@ -305,19 +256,17 @@ def _marginals(rho: DensityMatrix, thetas, q: np.ndarray) -> np.ndarray:
     return _coefficients(elements, _phase_factors(thetas, dim)) @ _phi_table(dim - 1, q)
 
 
-def marginal(rho: DensityMatrix, theta: float, axis: QuadGrid | np.ndarray) -> np.ndarray:
+def marginal(rho: DensityMatrix, theta: float, axis: np.ndarray) -> np.ndarray:
     """Probability density Pr(q | theta), the diagonal of rho_quad: one angle of the sweep."""
-    return _marginals(rho, theta, _axis_values(axis))[0]
+    return _marginals(rho, theta, axis)[0]
 
 
-def marginal_sweep(
-    rho: DensityMatrix, angles_deg: np.ndarray, axis: QuadGrid | np.ndarray
-) -> np.ndarray:
+def marginal_sweep(rho: DensityMatrix, angles_deg: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Stack of marginals, one row per angle (degrees): one product of the
     angles' coefficients with the phi table of the axis, with the phase
     factors exact at 0 and 90 degrees."""
     thetas = np.deg2rad(np.asarray(angles_deg, dtype=float))
-    return _marginals(rho, thetas, _axis_values(axis))
+    return _marginals(rho, thetas, axis)
 
 
 def origin_parity(rho: DensityMatrix) -> float:
@@ -363,7 +312,7 @@ def save_wigner_csv(grid: WignerGrid, path) -> None:
 def save_marginal_sweep_csv(angles_deg, axis, sweep: np.ndarray, path) -> None:
     """Long-format CSV of a marginal sweep: theta_deg, q, density."""
     head = ["# basis=marginal-sweep", "theta_deg,q,density"]
-    write_rows(path, head, _grid_blocks(angles_deg, _axis_values(axis), sweep))
+    write_rows(path, head, _grid_blocks(angles_deg, axis, sweep))
 
 
 class CoherencePeak(NamedTuple):
@@ -383,18 +332,16 @@ def _coherence_profile(rho: DensityMatrix, q: np.ndarray) -> tuple[np.ndarray, n
     return diagonal, antidiagonal
 
 
-def coherence_peak(rho: DensityMatrix, axis: QuadGrid | np.ndarray | None = None) -> CoherencePeak:
+def coherence_peak(rho: DensityMatrix) -> CoherencePeak:
     """Locate the non-negative peak of the momentum diagonal rho(p, p) and read
     rho(p, -p) there.
 
     The off-diagonal value at the diagonal peaks is the interference witness
-    separating coherent superpositions from classical mixtures; the axis must
-    be symmetric about zero.
+    separating coherent superpositions from classical mixtures. It is read on
+    one fixed axis, -6..6 with 241 points, so it is a property of the state
+    alone; a peak beyond |p| = 6 is read at the edge.
     """
-    grid = QuadGrid.default() if axis is None else (axis if isinstance(axis, QuadGrid) else QuadGrid(np.asarray(axis, float)))
-    q = grid.axis
-    if abs(q[0] + q[-1]) > 1e-9:
-        raise DomainError("coherence_peak requires an axis symmetric about zero")
+    q = _COHERENCE_AXIS
     diagonal, antidiagonal = _coherence_profile(rho, q)
     half = np.flatnonzero(q >= 0.0)
     idx = half[np.argmax(diagonal[half])]

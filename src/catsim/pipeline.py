@@ -32,7 +32,6 @@ from .fock import (
     save_density_matrix,
 )
 from .phasespace import (
-    QuadGrid,
     _coherence_profile,
     coherence_peak,
     marginal_sweep,
@@ -68,14 +67,21 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="ascii")
 
 
+def _read_manifest(path: Path) -> dict | None:
+    """The run record in manifest.json; None if it is absent or unreadable."""
+    try:
+        manifest = json.loads(path.read_text(encoding="ascii"))
+    except (FileNotFoundError, ValueError):  # absent, not ASCII or not JSON
+        return None
+    readable = isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict)
+    return manifest if readable else None
+
+
 def _update_manifest(out: Path, cfg: RunConfig, stage: str, files: list[Path], wall: float) -> None:
     manifest_path = out / "manifest.json"
-    manifest = None
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="ascii"))
-        if manifest.get("config_hash") != cfg.config_hash():
-            manifest = None  # a new configuration starts a fresh run record
-    if manifest is None:
+    manifest = _read_manifest(manifest_path)
+    if manifest is None or manifest.get("config_hash") != cfg.config_hash():
+        # a new or unreadable record, or another configuration, starts a fresh run record
         manifest = {"version": __version__, "config_hash": cfg.config_hash(), "stages": {}}
     manifest["stages"][stage] = {
         "files": {str(f.relative_to(out)): _sha256(f) for f in sorted(files)},
@@ -88,13 +94,15 @@ def _require(out: Path, stage: str, needed: str, cfg: RunConfig | None = None) -
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(needed, f"no manifest under {out}; run '{needed}' first")
-    manifest = json.loads(manifest_path.read_text(encoding="ascii"))
+    manifest = _read_manifest(manifest_path)
+    if manifest is None:
+        raise MissingInputError(needed, f"{manifest_path} is unreadable; rerun from 'simulate'")
     if cfg is not None and manifest.get("config_hash") != cfg.config_hash():
         raise ConfigError(
             f"stage '{stage}' was given a different configuration (or seed) than the "
             f"earlier stages recorded under {out}"
         )
-    if needed not in manifest.get("stages", {}):
+    if needed not in manifest["stages"]:
         raise MissingInputError(needed, f"stage '{stage}' needs '{needed}' outputs first")
     return manifest
 
@@ -127,10 +135,10 @@ def _write_photon_distribution(rho: DensityMatrix, path: Path) -> None:
     write_rows(path, ["n,probability"], [(n, fields(rho.diagonal))])
 
 
-def _write_coherence_profile(rho: DensityMatrix, axis: QuadGrid, path: Path) -> None:
+def _write_coherence_profile(rho: DensityMatrix, axis: np.ndarray, path: Path) -> None:
     """Re rho(p, p) and Re rho(p, -p) along the axis, as coherence_peak reads them."""
-    diagonal, antidiagonal = _coherence_profile(rho, axis.axis)
-    columns = (fields(axis.axis), fields(diagonal), fields(antidiagonal))
+    diagonal, antidiagonal = _coherence_profile(rho, axis)
+    columns = (fields(axis), fields(diagonal), fields(antidiagonal))
     write_rows(path, ["p,re_diag,re_antidiag"], [columns])
 
 
@@ -151,7 +159,7 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
     files.append(config_path)
 
     g = cfg.grids
-    quad_axis = QuadGrid.linspace(g.quad_min, g.quad_max, g.quad_points)
+    quad_axis = np.linspace(g.quad_min, g.quad_max, g.quad_points)
     wx = np.linspace(g.wigner_min, g.wigner_max, g.wigner_points)
     angles = np.arange(-90.0, 90.0 + g.marginal_step_deg / 2, g.marginal_step_deg)
 
@@ -243,7 +251,6 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
     _require(out, "analyze", "reconstruct", cfg)
     t0 = time.perf_counter()
     files: list[Path] = []
-    quad_axis = QuadGrid.linspace(cfg.grids.quad_min, cfg.grids.quad_max, cfg.grids.quad_points)
     summary: dict = {"config_hash": cfg.config_hash(), "mode": cfg.mode, "states": {}}
     for i, name in enumerate(state_names(cfg)):
         sim = load_density_matrix(out / "states" / name / "density_matrix.json")
@@ -255,25 +262,25 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
         boot_path = out / "recon" / name / "bootstrap.json"
         _write_json(rep.to_dict(), boot_path)
         files.append(boot_path)
-        sim_peak = coherence_peak(sim, quad_axis)
-        rec_peak = coherence_peak(rec, quad_axis)
+        sim_peak = coherence_peak(sim)
+        rec_peak = coherence_peak(rec)
         summary["states"][name] = {
             "fidelity": fidelity(sim.embed(common), rec.embed(common)),
             "mean_photon": {
                 "simulated": mean_photon(sim),
                 "reconstructed": mean_photon(rec),
-                "sigma": rep.mean_photon[1],
+                "sigma": rep.mean_photon.std,
             },
             "origin_wigner": {
                 "simulated": origin_parity(sim),
                 "reconstructed": origin_parity(rec),
-                "sigma": rep.origin_wigner[1],
+                "sigma": rep.origin_wigner.std,
             },
             "peak_coherence": {
                 "simulated": sim_peak.off_diagonal_value,
                 "simulated_diag": sim_peak.diagonal_value,
                 "reconstructed": rec_peak.off_diagonal_value,
-                "sigma": rep.peak_coherence[1],
+                "sigma": rep.peak_coherence.std,
             },
         }
     if cfg.mode != CAT_PANELS_MODE:
@@ -283,9 +290,7 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
         ]
         rates_path = out / "analysis" / "count_rates.csv"
         rates_path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["n,probability,rate_cps"]
-        for n, p, rate in table:
-            lines.append(f"{n},{p!r},{rate!r}")
+        lines = ["n,probability,rate_cps"] + [f"{n},{p!r},{rate!r}" for n, p, rate in table]
         rates_path.write_text("\n".join(lines) + "\n", encoding="ascii")
         files.append(rates_path)
     summary_path = out / "analysis" / "summary.json"

@@ -35,7 +35,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,10 +48,8 @@ from .errors import (
     NonConvergenceWarning,
     SingularLikelihoodError,
 )
-from .fock import DensityMatrix, HilbertConfig, mean_photon, quadrature_basis
-from .phasespace import (
-    _coefficients, _phase_factors, _phi_table, _product_map, coherence_peak, origin_parity,
-)
+from .fock import DensityMatrix, HilbertConfig, _phase_factors, mean_photon, quadrature_basis
+from .phasespace import _coefficients, _phi_table, _product_map, coherence_peak, origin_parity
 from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
 _PROB_FLOOR = 1e-290
@@ -87,6 +86,16 @@ class MleConfig:
             raise DomainError("bin_width must be positive and finite, or None")
 
 
+class MeanStd(NamedTuple):
+    mean: float
+    std: float
+
+
+class MedianMax(NamedTuple):
+    median: float
+    max: int
+
+
 @dataclass(frozen=True)
 class BootstrapReport:
     """Mean and 1-sigma spread of reconstructed quantities over replicas,
@@ -96,26 +105,22 @@ class BootstrapReport:
     successful: int
     diagonal_mean: np.ndarray
     diagonal_std: np.ndarray
-    mean_photon: tuple[float, float]
-    origin_wigner: tuple[float, float]
-    peak_coherence: tuple[float, float]
-    iterations: tuple[float, int]  # median and max over replicas
+    mean_photon: MeanStd
+    origin_wigner: MeanStd
+    peak_coherence: MeanStd
+    iterations: MedianMax  # over the successful replicas
     unconverged: int  # replicas that stopped above the gap tolerance
     max_likelihood_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "successful": self.successful,
-            "iterations": {"median": self.iterations[0], "max": self.iterations[1]},
-            "unconverged": self.unconverged,
-            "max_likelihood_gap": self.max_likelihood_gap,
-            "diagonal_mean": self.diagonal_mean.tolist(),
-            "diagonal_std": self.diagonal_std.tolist(),
-            "mean_photon": {"mean": self.mean_photon[0], "std": self.mean_photon[1]},
-            "origin_wigner": {"mean": self.origin_wigner[0], "std": self.origin_wigner[1]},
-            "peak_coherence": {"mean": self.peak_coherence[0], "std": self.peak_coherence[1]},
-        }
+        """Each field by name: arrays as lists, named pairs as objects."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
+            out[f.name] = value._asdict() if isinstance(value, tuple) else value
+        return out
 
 
 def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
@@ -405,12 +410,11 @@ def mle_reconstruct(
 
 
 def _replica_quantities(rho: DensityMatrix) -> dict:
-    peak = coherence_peak(rho)
     return {
         "diagonal": rho.diagonal,
         "mean_photon": mean_photon(rho),
         "origin_wigner": origin_parity(rho),
-        "peak_coherence": peak.off_diagonal_value,
+        "peak_coherence": coherence_peak(rho).off_diagonal_value,
     }
 
 
@@ -457,8 +461,8 @@ def bootstrap(
         for key in ("mean_photon", "origin_wigner", "peak_coherence")
     }
 
-    def stat(a: np.ndarray) -> tuple[float, float]:
-        return float(np.mean(a)), float(np.std(a, ddof=1))
+    def stat(a: np.ndarray) -> MeanStd:
+        return MeanStd(float(np.mean(a)), float(np.std(a, ddof=1)))
 
     iterations = [run["iterations"] for run in runs]
     return BootstrapReport(
@@ -469,7 +473,7 @@ def bootstrap(
         mean_photon=stat(scalars["mean_photon"]),
         origin_wigner=stat(scalars["origin_wigner"]),
         peak_coherence=stat(scalars["peak_coherence"]),
-        iterations=(float(np.median(iterations)), max(iterations)),
+        iterations=MedianMax(float(np.median(iterations)), max(iterations)),
         unconverged=sum(not run["converged"] for run in runs),
         max_likelihood_gap=max(run["likelihood_gap"] for run in runs),
     )

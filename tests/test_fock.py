@@ -22,6 +22,7 @@ from catsim.fock import (
     load_density_matrix,
     mean_photon,
     mixed_coherent,
+    phase_rotated,
     quadrature_basis,
     quadrature_wavefunction,
     save_density_matrix,
@@ -293,6 +294,18 @@ def test_quadrature_basis_is_hermite_functions_times_phases():
     assert np.array_equal(quadrature_basis(12, qs, 0.0), psi)
     phases = np.exp(1j * np.arange(13) * 0.7)
     assert np.array_equal(quadrature_basis(12, qs, 0.7), psi * phases[:, None])
+    # e^{i n pi/2} is exactly i^n, as in every other phase factor of the package
+    i_n = np.array([1.0, 1j, -1.0, -1j])[np.arange(13) % 4]
+    assert np.array_equal(quadrature_basis(12, qs, math.pi / 2), psi * i_n[:, None])
+
+
+def test_phase_rotation_by_a_quarter_turn_is_exact():
+    # a real state with no elements between odd and even n stays exactly real
+    rho = squeezed_vacuum(SqueezeSpec(0.5), HilbertConfig(20)).to_density()
+    rotated = phase_rotated(rho, math.pi / 2).elements
+    assert np.all(rotated.imag == 0)
+    signs = (-1.0) ** (np.arange(21)[:, None] // 2 + np.arange(21)[None, :] // 2)
+    assert np.array_equal(rotated.real, signs * rho.elements.real)
 
 
 def test_wavefunction_normalization():

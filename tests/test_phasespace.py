@@ -6,7 +6,6 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from catsim.channels import ExperimentParams, herald_subtract, input_state, loss_channel
 from catsim.config import preset
-from catsim.errors import DomainError
 from catsim.fock import (
     DensityMatrix,
     HilbertConfig,
@@ -19,7 +18,6 @@ from catsim.fock import (
 )
 from catsim.phasespace import (
     QuadDensityMatrix,
-    QuadGrid,
     WignerGrid,
     _coherence_profile,
     coherence_peak,
@@ -53,14 +51,8 @@ def random_dm(seed, cutoff=8):
     return DensityMatrix(rho, HilbertConfig(cutoff))
 
 
-def test_quad_grid_validation():
-    with pytest.raises(DomainError):
-        QuadGrid(np.array([0.0, 1.0]))
-    with pytest.raises(DomainError):
-        QuadGrid(np.array([0.0, 0.5, 0.7]))
-    g = QuadGrid.default()
-    assert g.axis.size == 241
-    assert g.spacing == pytest.approx(0.05)
+# the default [grids] quadrature axis, and the one coherence_peak reads on
+AXIS = np.linspace(-6.0, 6.0, 241)
 
 
 def test_wigner_fock_state_origin_values():
@@ -142,8 +134,8 @@ def test_marginal_sweep_matches_per_angle_marginals():
     rho = random_dm(5, cutoff=12)
     assert np.abs(rho.elements.imag).max() > 0.01
     angles = np.arange(-90.0, 91.0, 7.5)
-    grid = QuadGrid.linspace(-5, 5, 101)
-    expected = np.stack([einsum_marginal(rho, np.deg2rad(a), grid.axis) for a in angles])
+    grid = np.linspace(-5, 5, 101)
+    expected = np.stack([einsum_marginal(rho, np.deg2rad(a), grid) for a in angles])
     sweep = marginal_sweep(rho, angles, grid)
     assert np.max(np.abs(sweep - expected)) < 1e-12
     # marginal is the one-angle case of the sweep
@@ -159,7 +151,7 @@ def default_states():
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2, 0.7])
 def test_rho_quad_is_bitwise_hermitian_and_matches_the_complex_product(theta):
     rho = random_dm(11, cutoff=10)
-    q = QuadGrid.linspace(-4, 4, 61).axis
+    q = np.linspace(-4, 4, 61)
     values = rho_quad(rho, theta, q).values
     assert np.array_equal(values, values.conj().T)
     assert np.all(values.diagonal().imag == 0)
@@ -169,21 +161,20 @@ def test_rho_quad_is_bitwise_hermitian_and_matches_the_complex_product(theta):
 
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
 def test_rho_quad_of_default_states_has_exact_zero_imaginary_part(theta):
-    grid = QuadGrid.default()
     for rho in default_states():
-        im = rho_quad(rho, theta, grid).values.imag
+        im = rho_quad(rho, theta, AXIS).values.imag
         assert np.all(im == 0) and not np.any(np.signbit(im))
 
 
 def test_rho_quad_vacuum_momentum_basis():
-    qdm = rho_quad(fock_dm(0), math.pi / 2, QuadGrid.default())
+    qdm = rho_quad(fock_dm(0), math.pi / 2, AXIS)
     i0 = np.argmin(np.abs(qdm.axis))
     assert qdm.values[i0, i0].real == pytest.approx(1 / math.sqrt(math.pi), abs=1e-12)
 
 
 def test_rho_quad_hermitian_structure():
     rho = random_dm(7)
-    qdm = rho_quad(rho, 0.3, QuadGrid.default())
+    qdm = rho_quad(rho, 0.3, AXIS)
     assert np.max(np.abs(qdm.values - qdm.values.conj().T)) < 1e-12
     assert np.all(qdm.diagonal >= -1e-9)
 
@@ -197,12 +188,11 @@ def test_even_cat_momentum_peaks_and_overlap():
 
 
 def test_even_parity_states_have_equal_diag_antidiag():
-    axis = QuadGrid.default().axis
     for state in (
         squeezed_vacuum(SqueezeSpec(0.576), CFG),
         cat_state(2.5j, "even", CFG),
     ):
-        diagonal, antidiagonal = _coherence_profile(state.to_density(), axis)
+        diagonal, antidiagonal = _coherence_profile(state.to_density(), AXIS)
         assert np.max(np.abs(diagonal - antidiagonal)) < 1e-10
 
 
@@ -216,16 +206,15 @@ def coherence_states(source):
 
 @pytest.mark.parametrize("source", ["default", "cat_panels", "random"])
 def test_coherence_peak_reads_the_rho_quad_table(source):
-    grid = QuadGrid.default()
-    q = grid.axis
+    q = AXIS
     for rho in coherence_states(source):
-        table = rho_quad(rho, math.pi / 2, grid)
+        table = rho_quad(rho, math.pi / 2, q)
         diagonal, antidiagonal = _coherence_profile(rho, q)
         assert np.max(np.abs(diagonal - table.diagonal)) <= 1e-14
         assert np.max(np.abs(antidiagonal - table.values[:, ::-1].diagonal().real)) <= 1e-14
         half = np.flatnonzero(q >= 0.0)
         idx = half[np.argmax(table.diagonal[half])]
-        peak = coherence_peak(rho, grid)
+        peak = coherence_peak(rho)
         assert peak.position == q[idx]
         assert abs(peak.diagonal_value - table.diagonal[idx]) <= 1e-14
         assert abs(peak.off_diagonal_value - table.values[idx, q.size - 1 - idx].real) <= 1e-14
@@ -239,29 +228,26 @@ def test_loss_degrades_interference():
 
 
 def test_marginal_vacuum_variance():
-    grid = QuadGrid.default()
     for theta in (0.0, 0.41, math.pi / 2):
-        pdf = marginal(fock_dm(0), theta, grid)
-        var = np.trapezoid(grid.axis**2 * pdf, grid.axis)
+        pdf = marginal(fock_dm(0), theta, AXIS)
+        var = np.trapezoid(AXIS**2 * pdf, AXIS)
         assert var == pytest.approx(0.5, abs=1e-9)
 
 
 def test_marginal_squeezed_variances():
     r = 0.576
     rho = squeezed_vacuum(SqueezeSpec(r), CFG).to_density()
-    grid = QuadGrid.default()
-    squeezed_var = np.trapezoid(grid.axis**2 * marginal(rho, 0.0, grid), grid.axis)
-    anti_var = np.trapezoid(grid.axis**2 * marginal(rho, math.pi / 2, grid), grid.axis)
+    squeezed_var = np.trapezoid(AXIS**2 * marginal(rho, 0.0, AXIS), AXIS)
+    anti_var = np.trapezoid(AXIS**2 * marginal(rho, math.pi / 2, AXIS), AXIS)
     assert squeezed_var == pytest.approx(math.exp(-2 * r) / 2, rel=1e-6)
     assert anti_var == pytest.approx(math.exp(2 * r) / 2, rel=1e-4)
 
 
 def test_marginal_is_normalized_density():
-    grid = QuadGrid.default()
     rho = random_dm(3, cutoff=8)
-    pdf = marginal(rho, 0.7, grid)
+    pdf = marginal(rho, 0.7, AXIS)
     assert np.all(pdf >= -1e-9)
-    assert np.trapezoid(pdf, grid.axis) == pytest.approx(1.0, abs=2e-3)
+    assert np.trapezoid(pdf, AXIS) == pytest.approx(1.0, abs=2e-3)
 
 
 def test_radon_projection_matches_marginal():
@@ -295,16 +281,16 @@ def test_origin_parity_cat_values():
 def test_marginal_sweep_shape():
     rho = squeezed_vacuum(SqueezeSpec(0.3), HilbertConfig(12)).to_density()
     angles = np.arange(-90.0, 91.0, 15.0)
-    grid = QuadGrid.linspace(-4, 4, 81)
+    grid = np.linspace(-4, 4, 81)
     sweep = marginal_sweep(rho, angles, grid)
     assert sweep.shape == (angles.size, 81)
-    sums = np.trapezoid(sweep, grid.axis, axis=1)
+    sums = np.trapezoid(sweep, grid, axis=1)
     assert np.allclose(sums, 1.0, atol=2e-3)
 
 
 def test_csv_exports(tmp_path):
     rho = squeezed_vacuum(SqueezeSpec(0.3), HilbertConfig(8), tail_tol=1e-3).to_density()
-    grid = QuadGrid.linspace(-2, 2, 5)
+    grid = np.linspace(-2, 2, 5)
     qdm = rho_quad(rho, math.pi / 2, grid)
     p_quad = tmp_path / "quad.csv"
     save_quad_csv(qdm, p_quad)
@@ -326,12 +312,6 @@ def test_csv_exports(tmp_path):
     p_sweep = tmp_path / "sweep.csv"
     save_marginal_sweep_csv(np.array([0.0, 90.0]), grid, sweep, p_sweep)
     assert len(p_sweep.read_text().splitlines()) == 2 + 2 * 5
-
-
-def test_coherence_peak_requires_symmetric_axis():
-    rho = fock_dm(0, HilbertConfig(4))
-    with pytest.raises(DomainError):
-        coherence_peak(rho, np.linspace(-1.0, 2.0, 31))
 
 
 # values whose text is easy to get wrong: signed zero, a subnormal, and one

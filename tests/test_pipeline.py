@@ -22,6 +22,7 @@ from catsim.config import (
 )
 from catsim.errors import ConfigError, MissingInputError, SchemaError
 from catsim.fock import load_density_matrix
+from catsim.phasespace import coherence_peak
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
 
@@ -211,6 +212,14 @@ def test_analyze_summary_contents(finished_run):
     assert 0.9 < block["fidelity"] <= 1.0
     assert block["origin_wigner"]["sigma"] >= 0.0
     assert summary["count_rates"][0]["n"] == 0
+    # the coherence read-out is a property of the state, not of the [grids]
+    # axis (81 points here), so it is the quantity bootstrap's sigma spreads
+    for name, block in summary["states"].items():
+        sim = coherence_peak(load_density_matrix(out / "states" / name / "density_matrix.json"))
+        rec = coherence_peak(load_density_matrix(out / "recon" / name / "density_matrix.json"))
+        assert block["peak_coherence"]["simulated"] == sim.off_diagonal_value
+        assert block["peak_coherence"]["simulated_diag"] == sim.diagonal_value
+        assert block["peak_coherence"]["reconstructed"] == rec.off_diagonal_value
 
 
 def test_reconstruction_and_bootstrap_report_convergence(finished_run):
@@ -470,15 +479,18 @@ def test_cat_panels_mode(tmp_path):
 
 
 def test_cli_stage_flow(tmp_path):
-    cfg = light_config()
-    cfg_path = tmp_path / "cfg.ini"
-    save_config(cfg, cfg_path)
-    out = tmp_path / "cli_run"
-    for stage in ("simulate", "sample", "reconstruct", "analyze"):
-        code = cli_main([stage, "--config", str(cfg_path), "--out", str(out)])
+    # the second quadrature axis is not symmetric about zero: it sets only the
+    # output tables, so analyze reads the coherence witness as usual
+    asymmetric = GridSpec(-5.0, 6.0, quad_points=45, wigner_points=41, marginal_step_deg=45.0)
+    for i, cfg in enumerate((light_config(), light_config(grids=asymmetric))):
+        cfg_path = tmp_path / f"cfg{i}.ini"
+        save_config(cfg, cfg_path)
+        out = tmp_path / f"cli_run{i}"
+        for stage in ("simulate", "sample", "reconstruct", "analyze"):
+            code = cli_main([stage, "--config", str(cfg_path), "--out", str(out)])
+            assert code == 0
+        code = cli_main(["report", "--config", str(cfg_path), "--out", str(out)])
         assert code == 0
-    code = cli_main(["report", "--config", str(cfg_path), "--out", str(out)])
-    assert code == 0
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -489,6 +501,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     save_config(light_config(), cfg_path)
     assert cli_main(["reconstruct", "--config", str(cfg_path), "--out", str(tmp_path / "y")]) == 4
     capsys.readouterr()
+    # unreadable manifest: a later stage names it (4), simulate starts a fresh record
+    out = tmp_path / "z"
+    out.mkdir()
+    (out / "manifest.json").write_text("{not json")
+    assert cli_main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert f"{out / 'manifest.json'} is unreadable" in capsys.readouterr().err
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert set(json.loads((out / "manifest.json").read_text())["stages"]) == {"simulate"}
+    assert cli_main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
 
 
 def test_cli_preset_print(capsys):
