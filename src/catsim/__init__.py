@@ -26,7 +26,6 @@ from .fock import (
     mixed_coherent,
     phase_rotated,
     quadrature_basis,
-    quadrature_wavefunction,
     save_density_matrix,
     squeezed_vacuum,
     trace_distance,
@@ -42,7 +41,6 @@ from .phasespace import (
     rho_quad,
     wigner,
     wigner_integral_oracle,
-    wigner_values,
 )
 from .sampler import (
     HomodyneDataset,

@@ -28,8 +28,7 @@ from .fock import (
     squeezed_vacuum,
 )
 
-DEFAULT_IDLER_CUTOFF = 12
-DEFAULT_MAX_JOINT_DIM = 4096
+_MAX_JOINT_DIM = 4096  # signal x idler amplitudes; guards cutoffs read from an INI file
 
 _EIGENBRANCH_FLOOR = 1e-15  # mixture weights below this carry no probability
 
@@ -52,7 +51,7 @@ class ExperimentParams:
     rep_rate_hz: float = 5e6
     duty_cycle: float = 0.5
     cutoff: int = 30
-    idler_cutoff: int = DEFAULT_IDLER_CUTOFF
+    idler_cutoff: int = 12
 
     def __post_init__(self):
         for name in ("opa_loss", "idler_efficiency", "signal_efficiency"):
@@ -146,20 +145,13 @@ def _bs_amplitudes(c: np.ndarray, reflectivity: float, idler_cutoff: int) -> np.
     return out
 
 
-def beamsplitter_join(
-    signal_in: StateVector,
-    reflectivity: float,
-    idler_cutoff: int = DEFAULT_IDLER_CUTOFF,
-    max_joint_dim: int = DEFAULT_MAX_JOINT_DIM,
-) -> TwoModeState:
+def beamsplitter_join(signal_in: StateVector, reflectivity: float, idler_cutoff: int) -> TwoModeState:
     """Join the signal with a vacuum idler on a beam splitter of the given reflectivity."""
     if not (0.0 < reflectivity <= 1.0):
         raise DomainError(f"reflectivity must be in (0, 1], got {reflectivity}")
     joint = signal_in.config.dim * (idler_cutoff + 1)
-    if joint > max_joint_dim:
-        raise TruncationBudgetError(
-            f"joint dimension {joint} exceeds the budget {max_joint_dim}"
-        )
+    if joint > _MAX_JOINT_DIM:
+        raise TruncationBudgetError(f"joint dimension {joint} exceeds the budget {_MAX_JOINT_DIM}")
     amps = _bs_amplitudes(np.asarray(signal_in.amplitudes), reflectivity, idler_cutoff)
     return TwoModeState(amps, signal_in.config, idler_cutoff)
 
@@ -186,7 +178,7 @@ def lossy_number_povm(n: int, eta_i: float, idler_cutoff: int) -> np.ndarray:
 
 
 def _tapped_branches(
-    params: ExperimentParams, config: HilbertConfig, tail_tol: float = DEFAULT_TAIL_TOL
+    params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> list[tuple[float, np.ndarray]]:
     """Pure-state decomposition of the lossy source after the tap.
 
@@ -200,6 +192,7 @@ def _tapped_branches(
     round-off, while per-block eigenvectors keep every conditioned state
     exactly zero between even and odd photon numbers.
     """
+    config = HilbertConfig(params.cutoff)
     psi = squeezed_vacuum(params.squeeze, config, tail_tol)
     rho = np.asarray(loss_channel(psi.to_density(), 1.0 - params.opa_loss).elements)
     n = np.arange(config.dim)
@@ -235,11 +228,7 @@ def _conditioned_signal(
     return rho_u, float(np.trace(rho_u).real)
 
 
-def herald_subtract(
-    params: ExperimentParams,
-    config: HilbertConfig | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> HeraldResult:
+def herald_subtract(params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL) -> HeraldResult:
     """Run the full subtraction pipeline and condition on herald_n idler photons.
 
     Order: squeezed source -> source loss -> beam-splitter tap -> lossy
@@ -248,34 +237,26 @@ def herald_subtract(
     before renormalization; the event rate multiplies in repetition rate and
     duty cycle.
     """
-    if config is None:
-        config = HilbertConfig(params.cutoff)
     if params.herald_n > params.idler_cutoff:
         raise DomainError(
             f"herald_n {params.herald_n} exceeds idler cutoff {params.idler_cutoff}"
         )
-    branches = _tapped_branches(params, config, tail_tol)
+    branches = _tapped_branches(params, tail_tol)
     povm = np.array(_povm_diagonal(params.herald_n, params.idler_efficiency, params.idler_cutoff))
     rho_u, prob = _conditioned_signal(branches, povm)
     if prob < 1e-300:
         raise ZeroProbabilityError(
             f"herald probability for n={params.herald_n} underflowed ({prob})"
         )
-    rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, config)
+    rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, HilbertConfig(params.cutoff))
     rho = loss_channel(rho, params.signal_efficiency)
     rate = prob * params.rep_rate_hz * params.duty_cycle
     return HeraldResult(state=rho, herald_probability=prob, estimated_rate=rate)
 
 
-def herald_probabilities(
-    params: ExperimentParams,
-    config: HilbertConfig | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> np.ndarray:
+def herald_probabilities(params: ExperimentParams) -> np.ndarray:
     """Probability of each idler outcome n = 0..idler_cutoff (sums to ~1)."""
-    if config is None:
-        config = HilbertConfig(params.cutoff)
-    branches = _tapped_branches(params, config, tail_tol)
+    branches = _tapped_branches(params)
     idler = np.zeros(params.idler_cutoff + 1)
     for w, amps in branches:
         idler += w * np.sum(np.abs(amps) ** 2, axis=0)
@@ -286,25 +267,17 @@ def herald_probabilities(
     return probs
 
 
-def count_rate_table(
-    params: ExperimentParams, n_max: int, config: HilbertConfig | None = None
-) -> list[tuple[int, float, float]]:
+def count_rate_table(params: ExperimentParams, n_max: int) -> list[tuple[int, float, float]]:
     """(n, herald probability, estimated rate in counts/s) for n = 0..n_max."""
     if n_max > params.idler_cutoff:
         raise DomainError(f"n_max {n_max} exceeds idler cutoff {params.idler_cutoff}")
-    probs = herald_probabilities(params, config)
+    probs = herald_probabilities(params)
     scale = params.rep_rate_hz * params.duty_cycle
     return [(n, float(probs[n]), float(probs[n] * scale)) for n in range(n_max + 1)]
 
 
-def input_state(
-    params: ExperimentParams,
-    config: HilbertConfig | None = None,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> DensityMatrix:
+def input_state(params: ExperimentParams) -> DensityMatrix:
     """The unconditioned source as seen by the measurement chain (tap fully closed)."""
-    if config is None:
-        config = HilbertConfig(params.cutoff)
-    psi = squeezed_vacuum(params.squeeze, config, tail_tol)
+    psi = squeezed_vacuum(params.squeeze, HilbertConfig(params.cutoff))
     rho = loss_channel(psi.to_density(), 1.0 - params.opa_loss)
     return loss_channel(rho, params.signal_efficiency)

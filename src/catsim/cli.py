@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import pipeline
 from .config import resolve_config
@@ -60,11 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
         if args.stage == "report":
-            payload, all_pass = pipeline.report(cfg, args.out)
-            for check in payload["checks"]:
-                status = "PASS" if check["passed"] else "FAIL"
-                print(f"{status}  {check['check']}: {check['detail']}")
-            print(f"overall: {'PASS' if all_pass else 'FAIL'}")
+            _, all_pass = pipeline.report(cfg, args.out)
+            sys.stdout.write((Path(args.out) / "report" / "report.txt").read_text(encoding="ascii"))
             return EXIT_OK if all_pass else EXIT_NUMERIC
         stage_fn = getattr(pipeline, args.stage)
         files = stage_fn(cfg, args.out)

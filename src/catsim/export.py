@@ -1,4 +1,4 @@
-"""CSV rows for the stage outputs, formatted in batches.
+"""CSV rows for the stage outputs, formatted in batches, and the one JSON reader.
 
 Every value is written as `repr` of a Python float, so it reads back
 exactly. Each distinct value of a batch is formatted once: a phase-space
@@ -10,11 +10,23 @@ by block, so no more than one block's rows are joined at a time.
 
 from __future__ import annotations
 
+import json
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import SchemaError
+
+
+def read_json(path: str | Path):
+    """The JSON value in a file; SchemaError naming the file if it is not ASCII JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="ascii"))
+    except (ValueError, RecursionError) as exc:  # not ASCII, not JSON, or nested too deep
+        raise SchemaError(f"{path} is not readable JSON ({exc})") from None
+
 
 def fields(values) -> list[str]:
     """Exact round-trip text of each value, as `repr(float(v))` gives it.

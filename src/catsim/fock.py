@@ -19,9 +19,9 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, TruncationError, ZeroStateError
+from .errors import DimensionMismatch, DomainError, SchemaError, TruncationError, ZeroStateError
+from .export import read_json
 
-DEFAULT_CUTOFF = 30
 DEFAULT_TAIL_TOL = 1e-6
 
 NORM_TOL = 1e-12
@@ -37,7 +37,7 @@ _R_PER_DB = math.log(10.0) / 20.0
 class HilbertConfig:
     """Truncated single-mode Fock space: indices 0..cutoff, hbar fixed at 1."""
 
-    cutoff: int = DEFAULT_CUTOFF
+    cutoff: int
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -55,8 +55,10 @@ class SqueezeSpec:
     r: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r < math.inf):
-            raise DomainError(f"squeezing parameter must be finite and >= 0, got {self.r}")
+        r = (self.r / _R_PER_DB) * _R_PER_DB  # the r its dB text reads back as
+        if not (0.0 <= r < math.inf):
+            raise DomainError(f"squeezing r must be >= 0 with a finite dB level, got {self.r}")
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def from_db(cls, level_db: float) -> "SqueezeSpec":
@@ -131,7 +133,7 @@ class DensityMatrix:
         if rho.shape != (d, d):
             raise DimensionMismatch(f"matrix has shape {rho.shape}, expected ({d}, {d})")
         herm = np.max(np.abs(rho - rho.conj().T))
-        if herm > HERMITICITY_TOL:
+        if not herm <= HERMITICITY_TOL:  # NaN too
             raise DomainError(f"matrix deviates from Hermitian by {herm}")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > TRACE_TOL:
@@ -186,7 +188,11 @@ def save_density_matrix(rho: DensityMatrix, path: str | Path) -> None:
 
 
 def load_density_matrix(path: str | Path) -> DensityMatrix:
-    return DensityMatrix.from_dict(json.loads(Path(path).read_text(encoding="ascii")))
+    """The state save_density_matrix wrote; SchemaError naming the file otherwise."""
+    try:
+        return DensityMatrix.from_dict(read_json(path))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path} holds no density matrix ({exc})") from None
 
 
 def _check_tail(tail: float, tail_tol: float, what: str) -> None:
@@ -208,8 +214,6 @@ def squeezed_vacuum(
     states develop their two lobes along p.
     """
     r = spec.r
-    if r < 0:
-        raise DomainError(f"squeezing parameter must be >= 0, got {r}")
     d = config.dim
     amps = np.zeros(d, dtype=complex)
     amps[0] = 1.0
@@ -336,11 +340,12 @@ def hermite_functions(cutoff: int, q) -> np.ndarray:
     which stays finite far past the factorial-overflow range. It runs on
     psi_n·e^{q^2/4} from pi^{-1/4}·e^{-q^2/4}, and each row takes the other
     e^{-q^2/4} at the end: the start is a normal float out to |q| ≈ 53, where
-    e^{-q^2/2} is subnormal beyond |q| ≈ 37.6.
+    e^{-q^2/2} is subnormal beyond |q| ≈ 37.6. Every psi_n is exactly 0 beyond
+    |q| ≈ 54.6, so q is clipped to [-60, 60], and q = ±inf gives 0, not NaN.
     """
     if cutoff < 0:
         raise DomainError(f"cutoff must be >= 0, got {cutoff}")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
+    q = np.clip(np.atleast_1d(np.asarray(q, dtype=float)), -60.0, 60.0)
     half = np.exp(-0.25 * q * q)
     psi = np.zeros((cutoff + 1, q.size))
     psi[0] = np.pi ** -0.25 * half
@@ -366,21 +371,6 @@ def _phase_factors(thetas, dim: int) -> np.ndarray:
 def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
     """Matrix W[n, i] = <n|q_i, theta> = psi_n(q_i)·e^{i n theta}."""
     return hermite_functions(cutoff, q) * _phase_factors(theta, cutoff + 1)[0][:, None]
-
-
-def quadrature_wavefunction(n: int, q, theta: float = 0.0):
-    """<n|q_theta> = psi_n(q)·e^{i n theta}; theta in radians.
-
-    Returns a complex scalar for scalar q, else a complex array. The Born
-    probability of a homodyne record is |<n|q_theta>|^2 summed against rho
-    with the conjugate on the bra side.
-    """
-    if n < 0:
-        raise DomainError(f"photon number must be >= 0, got {n}")
-    row = quadrature_basis(n, q, theta)[n]
-    if np.isscalar(q) or np.asarray(q).ndim == 0:
-        return complex(row[0])
-    return row
 
 
 def phase_rotated(rho: DensityMatrix, theta: float) -> DensityMatrix:

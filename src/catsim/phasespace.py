@@ -38,9 +38,6 @@ from .errors import ConvergenceError, DomainError
 from .export import fields, write_rows
 from .fock import DensityMatrix, _phase_factors, hermite_functions, quadrature_basis
 
-DEFAULT_WIGNER_RANGE = (-5.0, 5.0)
-DEFAULT_WIGNER_POINTS = 201
-
 _IMAG_RESIDUE_TOL = 1e-10
 
 _COHERENCE_AXIS = np.linspace(-6.0, 6.0, 241)  # the one axis coherence_peak reads on
@@ -132,26 +129,13 @@ def _wigner_values(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return w.real
 
 
-def wigner(
-    rho: DensityMatrix,
-    x_axis: np.ndarray | None = None,
-    p_axis: np.ndarray | None = None,
-) -> WignerGrid:
-    """Wigner function on a rectangular grid (default -5..5, 201 x 201)."""
-    if x_axis is None:
-        x_axis = np.linspace(*DEFAULT_WIGNER_RANGE, DEFAULT_WIGNER_POINTS)
-    if p_axis is None:
-        p_axis = np.linspace(*DEFAULT_WIGNER_RANGE, DEFAULT_WIGNER_POINTS)
+def wigner(rho: DensityMatrix, x_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
+    """Wigner function on the rectangular grid of two axes."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
     values = _wigner_values(np.asarray(rho.elements), xg, pg)
     return WignerGrid(x_axis, p_axis, values)
-
-
-def wigner_values(rho: DensityMatrix, x, p) -> np.ndarray:
-    """W at arbitrary paired (x, p) arrays; shapes must broadcast."""
-    return _wigner_values(np.asarray(rho.elements), np.asarray(x, float), np.asarray(p, float))
 
 
 def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:

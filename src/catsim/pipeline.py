@@ -20,7 +20,7 @@ from . import __version__
 from .channels import count_rate_table, herald_subtract, input_state, loss_channel
 from .config import CAT_PANELS_MODE, RunConfig, save_config
 from .errors import ConfigError, MissingInputError, ParseError, SchemaError
-from .export import fields, write_rows
+from .export import fields, read_json, write_rows
 from .fock import (
     DensityMatrix,
     HilbertConfig,
@@ -67,13 +67,23 @@ def _write_json(payload: dict, path: Path) -> None:
     path.write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="ascii")
 
 
+def _stage_entry_ok(entry) -> bool:
+    """A stage record: files maps names to digests, wall_seconds is a finite number."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("files"), dict):
+        return False
+    wall = entry.get("wall_seconds")
+    finite = type(wall) is int or (type(wall) is float and math.isfinite(wall))
+    return finite and all(isinstance(v, str) for v in entry["files"].values())
+
+
 def _read_manifest(path: Path) -> dict | None:
     """The run record in manifest.json; None if it is absent or unreadable."""
     try:
-        manifest = json.loads(path.read_text(encoding="ascii"))
-    except (FileNotFoundError, ValueError):  # absent, not ASCII or not JSON
+        manifest = read_json(path)
+    except (FileNotFoundError, SchemaError):
         return None
-    readable = isinstance(manifest, dict) and isinstance(manifest.get("stages"), dict)
+    stages = manifest.get("stages") if isinstance(manifest, dict) else None
+    readable = isinstance(stages, dict) and all(map(_stage_entry_ok, stages.values()))
     return manifest if readable else None
 
 
@@ -90,14 +100,14 @@ def _update_manifest(out: Path, cfg: RunConfig, stage: str, files: list[Path], w
     _write_json(manifest, manifest_path)
 
 
-def _require(out: Path, stage: str, needed: str, cfg: RunConfig | None = None) -> dict:
+def _require(out: Path, stage: str, needed: str, cfg: RunConfig) -> dict:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise MissingInputError(needed, f"no manifest under {out}; run '{needed}' first")
     manifest = _read_manifest(manifest_path)
     if manifest is None:
         raise MissingInputError(needed, f"{manifest_path} is unreadable; rerun from 'simulate'")
-    if cfg is not None and manifest.get("config_hash") != cfg.config_hash():
+    if manifest.get("config_hash") != cfg.config_hash():
         raise ConfigError(
             f"stage '{stage}' was given a different configuration (or seed) than the "
             f"earlier stages recorded under {out}"
@@ -182,16 +192,13 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
         files.extend(sorted(d.iterdir()))
 
     if cfg.mode != CAT_PANELS_MODE:
-        table = count_rate_table(cfg.experiment, cfg.experiment.herald_n)
-        lines = [RATES_HEADER]
-        lines.append(f"input,{mean_photon(states['input'])!r},,,{wigner_min['input']!r}")
-        for n, p, rate in table:
-            name = f"herald_{n}"
-            mp = mean_photon(states[name])
-            lines.append(f"{name},{mp!r},{p!r},{rate!r},{wigner_min[name]!r}")
-        rates_path = out / "rates.csv"
-        rates_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        files.append(rates_path)
+        _, probs, rates = zip(*count_rate_table(cfg.experiment, cfg.experiment.herald_n))
+        names = state_names(cfg)  # input, then herald_0.. as the table's rows
+        means = fields([mean_photon(states[n]) for n in names])
+        minima = fields([wigner_min[n] for n in names])
+        columns = (names, means, [""] + fields(probs), [""] + fields(rates), minima)
+        write_rows(out / "rates.csv", [RATES_HEADER], [columns])
+        files.append(out / "rates.csv")
 
     _update_manifest(out, cfg, "simulate", files, time.perf_counter() - t0)
     return files
@@ -288,11 +295,6 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
         summary["count_rates"] = [
             {"n": n, "probability": p, "rate_cps": rate} for n, p, rate in table
         ]
-        rates_path = out / "analysis" / "count_rates.csv"
-        rates_path.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["n,probability,rate_cps"] + [f"{n},{p!r},{rate!r}" for n, p, rate in table]
-        rates_path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        files.append(rates_path)
     summary_path = out / "analysis" / "summary.json"
     summary_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(summary, summary_path)
@@ -487,10 +489,20 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
                 integrity_failures.append(f"{rel} missing")
             elif _sha256(p) != digest:
                 integrity_failures.append(f"{rel} checksum mismatch")
+    recon_warnings = {}
+    for diag_path in sorted((out / "recon").glob("*/diagnostics.json")):
+        try:
+            diag = read_json(diag_path)
+        except SchemaError:
+            diag = None
+        if not isinstance(diag, dict) or not isinstance(diag.get("warnings", []), list):
+            integrity_failures.append(f"{diag_path.relative_to(out).as_posix()} unreadable")
+        elif diag.get("warnings"):
+            recon_warnings[diag_path.parent.name] = diag["warnings"]
     physics: list[dict] = []
     try:
-        summary = json.loads((out / "analysis" / "summary.json").read_text(encoding="ascii"))
-    except ValueError as exc:  # not ASCII or not JSON: no physics check can read it
+        summary = read_json(out / "analysis" / "summary.json")
+    except SchemaError as exc:  # no physics check can read it
         integrity_failures.insert(0, f"analysis/summary.json unreadable ({exc})")
     else:
         try:
@@ -498,7 +510,7 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
                 physics = _cat_checks(cfg, summary)
             else:
                 physics = _subtraction_checks(cfg, out, summary)
-        except (KeyError, TypeError) as exc:  # JSON, but not the record analyze writes
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:  # not analyze's record
             integrity_failures.insert(0, f"analysis/summary.json lacks its fields ({exc!r})")
     checks = [
         _check(
@@ -509,12 +521,6 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
             else "; ".join(integrity_failures[:5]),
         )
     ] + physics
-
-    recon_warnings = {}
-    for diag_path in sorted((out / "recon").glob("*/diagnostics.json")):
-        diag = json.loads(diag_path.read_text(encoding="ascii"))
-        if diag.get("warnings"):
-            recon_warnings[diag_path.parent.name] = diag["warnings"]
 
     all_pass = all(c["passed"] for c in checks)
     payload = {
@@ -541,7 +547,8 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
         for msg in msgs:
             lines.append(f"warning [{state}]: {msg}")
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
-    (report_dir / "report.txt").write_text("\n".join(lines) + "\n", encoding="ascii")
+    text = "\n".join(lines) + "\n"  # a name or message read from a file may hold any character
+    (report_dir / "report.txt").write_text(text, encoding="ascii", errors="backslashreplace")
 
     _update_manifest(
         out, cfg, "report", [report_dir / "report.json", report_dir / "report.txt"],

@@ -24,8 +24,9 @@ DEFAULT_SAMPLES_PER_PHASE = 10_000
 
 SHOT_NOISE_VARIANCE = 0.5  # vacuum quadrature variance in this normalization
 
-_CDF_POINTS = 4096
-_CDF_RANGE = (-8.0, 8.0)  # covers the anti-squeezed tails of every pipeline state
+# the inverse-CDF table's q grid; -8..8 covers the anti-squeezed tails of every pipeline state
+_CDF_GRID = np.linspace(-8.0, 8.0, 4096)
+_CDF_GRID.setflags(write=False)
 _MIN_GRID_MASS = 0.999
 _BLOCK_ROWS = 8192  # records formatted and written at a time
 _HEADER = "theta_deg,q"
@@ -120,10 +121,10 @@ def _subseed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _inverse_cdf_draws(pdf: np.ndarray, grid: np.ndarray, count: int, seed: int) -> np.ndarray:
-    """Draw count values from a pdf tabulated on a uniform grid by inverse-CDF interpolation."""
+def _inverse_cdf_draws(pdf: np.ndarray, count: int, seed: int) -> np.ndarray:
+    """Draw count values from a pdf tabulated on _CDF_GRID by inverse-CDF interpolation."""
     pdf = np.clip(pdf, 0.0, None)
-    dq = grid[1] - grid[0]
+    dq = _CDF_GRID[1] - _CDF_GRID[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dq)))
     mass = cdf[-1]
     if mass < _MIN_GRID_MASS:
@@ -132,23 +133,15 @@ def _inverse_cdf_draws(pdf: np.ndarray, grid: np.ndarray, count: int, seed: int)
         )
     cdf /= mass
     u = np.random.default_rng(seed).random(count)
-    return np.interp(u, cdf, grid)
+    return np.interp(u, cdf, _CDF_GRID)
 
 
-def sample_phase(
-    rho: DensityMatrix,
-    theta_deg: float,
-    count: int,
-    seed: int,
-    grid_points: int = _CDF_POINTS,
-    q_range: tuple[float, float] = _CDF_RANGE,
-) -> np.ndarray:
+def sample_phase(rho: DensityMatrix, theta_deg: float, count: int, seed: int) -> np.ndarray:
     """Draw i.i.d. quadrature values at one phase by inverse-CDF interpolation."""
     if count < 1:
         raise DomainError("count must be >= 1")
-    grid = np.linspace(q_range[0], q_range[1], grid_points)
-    pdf = marginal(rho, np.deg2rad(theta_deg), grid)
-    return _inverse_cdf_draws(pdf, grid, count, seed)
+    pdf = marginal(rho, np.deg2rad(theta_deg), _CDF_GRID)
+    return _inverse_cdf_draws(pdf, count, seed)
 
 
 def synth_dataset(
@@ -159,10 +152,9 @@ def synth_dataset(
     Every phase's pdf comes from one marginal sweep on the sampling grid; the
     draws at each phase are those `sample_phase` makes with the sub-seed.
     """
-    grid = np.linspace(_CDF_RANGE[0], _CDF_RANGE[1], _CDF_POINTS)
-    pdfs = marginal_sweep(rho, plan.phases_deg, grid)
+    pdfs = marginal_sweep(rho, plan.phases_deg, _CDF_GRID)
     count = plan.samples_per_phase
-    values = [_inverse_cdf_draws(pdf, grid, count, _subseed(seed, i)) for i, pdf in enumerate(pdfs)]
+    values = [_inverse_cdf_draws(pdf, count, _subseed(seed, i)) for i, pdf in enumerate(pdfs)]
     meta = {
         "source_id": source_id,
         "seed": int(seed),
@@ -255,8 +247,8 @@ def load_dataset(path: str | Path) -> HomodyneDataset:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except UnicodeDecodeError:
-        text = ""
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not ASCII text ({exc})") from None
     at = ("\n" + text).find(f"\n{_HEADER}\n")
     rows = None
     if at >= 0:
@@ -264,8 +256,7 @@ def load_dataset(path: str | Path) -> HomodyneDataset:
         if not header_seen:
             rows = _record_block(text[at + len(_HEADER) + 1 :])
     if rows is None:
-        with open(path, "r", encoding="ascii") as fh:
-            meta, thetas, values, header_seen = _read_lines(fh)
+        meta, thetas, values, header_seen = _read_lines(text.split("\n"))
         if not header_seen:
             raise SchemaError(f"file contains no '{_HEADER}' header line")
         rows = np.column_stack([np.asarray(thetas, dtype=float), np.asarray(values, dtype=float)])

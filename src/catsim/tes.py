@@ -60,6 +60,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import export
 from .errors import DomainError, SaturationWarning
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -88,15 +89,12 @@ class TesParams:
     rep_period_ns: float = 200.0
     samples_per_trace: int = 400
     noise_floor: float = 0.01
-    resolution_is_fwhm: bool = True
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
                 _integer(value, f.name)
-            elif f.type == "bool" and not isinstance(value, (bool, np.bool_)):
-                raise DomainError(f"{f.name} must be True or False, got {value!r}")
             elif f.type == "float" and not (
                 isinstance(value, numbers.Real) and math.isfinite(value)
             ):
@@ -118,11 +116,8 @@ class TesParams:
 
     @property
     def sigma_ev(self) -> float:
-        """Gaussian sigma of the energy jitter; the resolution is read as FWHM
-        by default, or directly as sigma when resolution_is_fwhm is False."""
-        if self.resolution_is_fwhm:
-            return self.energy_resolution_ev / FWHM_TO_SIGMA
-        return self.energy_resolution_ev
+        """Gaussian sigma of the energy jitter; energy_resolution_ev is its FWHM."""
+        return self.energy_resolution_ev / FWHM_TO_SIGMA
 
     @property
     def dt_ns(self) -> float:
@@ -215,11 +210,9 @@ class ConfusionMatrix:
         return float(m.sum() - np.trace(m)) / (self.n_max + 1)
 
     def to_csv(self, path: str | Path) -> None:
-        header = "true\\assigned," + ",".join(str(j) for j in range(self.n_max + 1))
-        lines = [header]
-        for i, row in enumerate(self.matrix):
-            lines.append(str(i) + "," + ",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+        labels = [str(j) for j in range(self.n_max + 1)]
+        head = ["true\\assigned," + ",".join(labels)]
+        export.write_rows(path, head, [(labels, *map(export.fields, self.matrix.T))])
 
 
 def adjacent_confusion_estimate(params: TesParams) -> float:

@@ -219,16 +219,13 @@ def _phase_tables(
             points, counts, col = q[idx], np.ones(idx.size), np.arange(idx.size)
             index.append(idx)
         else:
-            vals = q[idx]
-            lo = np.floor(vals.min() / bin_width) - 1
-            hi = np.ceil(vals.max() / bin_width) + 1
-            edges = np.arange(lo, hi + 1) * bin_width
-            bins = np.searchsorted(edges, vals, side="right") - 1
-            hist = np.bincount(bins, minlength=edges.size - 1)
-            keep = hist > 0
-            points = (0.5 * (edges[:-1] + edges[1:]))[keep]
-            counts = hist[keep].astype(float)
-            col = (np.cumsum(keep) - 1)[bins]
+            # bin k holds k·w <= q < (k+1)·w, as those float products compare
+            k = np.floor(q[idx] / bin_width)
+            k -= k * bin_width > q[idx]
+            k += (k + 1) * bin_width <= q[idx]
+            occupied, col, hist = np.unique(k, return_inverse=True, return_counts=True)
+            points = 0.5 * (occupied * bin_width + (occupied + 1) * bin_width)
+            counts = hist.astype(float)
         column[idx] = start + col
         start += counts.size
         phi.append(_phi_table(cutoff, points))

@@ -162,7 +162,7 @@ def test_beamsplitter_budget():
     cfg = HilbertConfig(30)
     sv = squeezed_vacuum(SqueezeSpec(0.3), cfg)
     with pytest.raises(TruncationBudgetError):
-        beamsplitter_join(sv, 0.8, idler_cutoff=30, max_joint_dim=100)
+        beamsplitter_join(sv, 0.8, idler_cutoff=200)  # 31 x 201 amplitudes
 
 
 # ---------------------------------------------------------------- POVM
@@ -337,7 +337,7 @@ def full_eigh_herald(params):
 def test_herald_states_are_parity_exact_and_match_full_eigh(params):
     states, probs = full_eigh_herald(params)
     assert not np.any(odd_elements(np.asarray(input_state(params).elements)))
-    for w, amps in _tapped_branches(params, HilbertConfig(params.cutoff)):
+    for w, amps in _tapped_branches(params):
         s, k = np.nonzero(amps)
         assert np.unique((s + k) % 2).size == 1  # each branch has one photon-number parity
     for n in range(min(4, params.idler_cutoff) + 1):

@@ -1,6 +1,7 @@
 """The INI form of RunConfig: exact round trips, pinned preset hashes, and
 refusal of malformed text with ConfigError only."""
 
+import math
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from catsim.channels import ExperimentParams
 from catsim.cli import main as cli_main
 from catsim.config import CAT_PANELS_MODE, SUBTRACTION_MODE, CatSpec, GridSpec, RunConfig, preset
-from catsim.errors import ConfigError
+from catsim.errors import ConfigError, DomainError
 from catsim.fock import SqueezeSpec
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
@@ -27,6 +28,9 @@ PRESET_HASHES = {
 OPTIONAL_KEYS = {"alpha_re", "alpha_im", "loss", "mode", "bootstrap_replicas"}
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+R_PER_DB = math.log(10.0) / 20.0
+# any finite r >= 0 whose dB level, r / R_PER_DB, is finite too
+SQUEEZE_R = st.floats(min_value=0.0, allow_infinity=False).filter(lambda r: r / R_PER_DB < math.inf)
 UNIT = st.floats(0.0, 1.0)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
@@ -35,7 +39,7 @@ CONFIGS = st.builds(
     RunConfig,
     experiment=st.builds(
         ExperimentParams,
-        squeeze=st.floats(0.0, 30.0).map(SqueezeSpec.from_db),
+        squeeze=st.floats(0.0, 30.0).map(SqueezeSpec.from_db) | SQUEEZE_R.map(SqueezeSpec),
         opa_loss=UNIT,
         bs_reflectivity=st.floats(0.0, 1.0, exclude_min=True),
         idler_efficiency=UNIT,
@@ -84,6 +88,18 @@ def with_value(text: str, key: str, value: str) -> str:
 @pytest.mark.parametrize("name", sorted(PRESET_HASHES))
 def test_preset_config_hash_is_pinned(name):
     assert preset(name).config_hash() == PRESET_HASHES[name]
+
+
+@given(SQUEEZE_R)
+def test_squeeze_r_is_the_value_its_db_text_reads_back_as(r):
+    spec = SqueezeSpec(r)
+    assert SqueezeSpec.from_db(float(repr(spec.level_db))) == spec
+    assert SqueezeSpec(spec.r) == spec
+
+
+def test_squeeze_r_with_an_overflowing_db_level_is_refused():
+    with pytest.raises(DomainError, match="finite dB level"):
+        SqueezeSpec(1e308)
 
 
 @given(CONFIGS)

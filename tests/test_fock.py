@@ -24,7 +24,6 @@ from catsim.fock import (
     mixed_coherent,
     phase_rotated,
     quadrature_basis,
-    quadrature_wavefunction,
     save_density_matrix,
     squeezed_vacuum,
 )
@@ -266,16 +265,16 @@ def psi_series(n, x):
 
 
 def test_quadrature_wavefunction_reference_values():
-    assert quadrature_wavefunction(0, 0.0, 0.0) == pytest.approx(math.pi**-0.25, abs=1e-12)
+    assert quadrature_basis(0, 0.0, 0.0)[0, 0] == pytest.approx(math.pi**-0.25, abs=1e-12)
     for theta in (0.0, 0.7, math.pi / 2):
-        assert abs(quadrature_wavefunction(1, 0.0, theta)) < 1e-14
+        assert abs(quadrature_basis(1, 0.0, theta)[1, 0]) < 1e-14
 
 
 def test_quadrature_wavefunction_momentum_phase():
     # theta = pi/2 multiplies psi_n by i^n
     q = 0.83
     for n in range(6):
-        val = quadrature_wavefunction(n, q, math.pi / 2)
+        val = quadrature_basis(n, q, math.pi / 2)[n, 0]
         assert val == pytest.approx((1j) ** n * psi_series(n, q), rel=1e-10)
 
 
@@ -324,7 +323,7 @@ def test_wavefunction_normalization():
 
 def test_wavefunction_rejects_negative_index():
     with pytest.raises(DomainError):
-        quadrature_wavefunction(-1, 0.0)
+        quadrature_basis(-1, 0.0)
 
 
 # ---------------------------------------------------------------- type invariants and IO

@@ -20,6 +20,7 @@ from catsim.phasespace import (
     QuadDensityMatrix,
     WignerGrid,
     _coherence_profile,
+    _wigner_values,
     coherence_peak,
     marginal,
     marginal_sweep,
@@ -30,7 +31,6 @@ from catsim.phasespace import (
     save_wigner_csv,
     wigner,
     wigner_integral_oracle,
-    wigner_values,
 )
 from catsim.pipeline import _build_states
 
@@ -53,18 +53,20 @@ def random_dm(seed, cutoff=8):
 
 # the default [grids] quadrature axis, and the one coherence_peak reads on
 AXIS = np.linspace(-6.0, 6.0, 241)
+# the default [grids] Wigner axis
+W_AXIS = np.linspace(-5.0, 5.0, 201)
 
 
 def test_wigner_fock_state_origin_values():
-    w0 = wigner(fock_dm(0))
+    w0 = wigner(fock_dm(0), W_AXIS, W_AXIS)
     assert w0.value_at(0.0, 0.0) == pytest.approx(1 / math.pi, abs=1e-10)
-    w1 = wigner(fock_dm(1))
+    w1 = wigner(fock_dm(1), W_AXIS, W_AXIS)
     assert w1.value_at(0.0, 0.0) == pytest.approx(-1 / math.pi, abs=1e-10)
 
 
 def test_wigner_normalization():
     sv = squeezed_vacuum(SqueezeSpec(0.576), CFG)
-    assert wigner(sv.to_density()).riemann_integral() == pytest.approx(1.0, abs=2e-3)
+    assert wigner(sv.to_density(), W_AXIS, W_AXIS).riemann_integral() == pytest.approx(1.0, abs=2e-3)
     # the alpha = 2.5i cat lobes sit at +-3.54, so give them a wider window
     even = cat_state(2.5j, "even", CFG)
     axis = np.linspace(-7.0, 7.0, 281)
@@ -89,7 +91,7 @@ def test_wigner_cross_method_agreement():
         rho = random_dm(seed, cutoff=6)
         pts = rng.normal(scale=1.3, size=(6, 2))
         for x, p in pts:
-            direct = float(wigner_values(rho, x, p))
+            direct = float(_wigner_values(rho.elements, x, p))
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             assert direct == pytest.approx(oracle, abs=1e-6)
 
@@ -262,13 +264,13 @@ def test_radon_projection_matches_marginal():
         for i, q in enumerate(qs):
             xs = q * math.cos(theta) - s * math.sin(theta)
             ps = q * math.sin(theta) + s * math.cos(theta)
-            proj[i] = np.trapezoid(wigner_values(rho, xs, ps), s)
+            proj[i] = np.trapezoid(_wigner_values(rho.elements, xs, ps), s)
         assert np.max(np.abs(pdf - proj)) < 1e-4
 
 
 def test_origin_parity_equals_wigner_origin():
     for rho in (fock_dm(0), fock_dm(1), random_dm(17, cutoff=8)):
-        assert origin_parity(rho) == pytest.approx(float(wigner_values(rho, 0.0, 0.0)), abs=1e-10)
+        assert origin_parity(rho) == pytest.approx(float(_wigner_values(rho.elements, 0.0, 0.0)), abs=1e-10)
 
 
 def test_origin_parity_cat_values():

@@ -373,7 +373,9 @@ def test_corrupt_summary_fails_integrity(tmp_path, capsys):
     assert [c["check"] for c in payload["checks"]] == ["manifest_integrity"]
     assert not payload["checks"][0]["passed"]
     assert "analysis/summary.json unreadable" in payload["checks"][0]["detail"]
-    assert "FAIL  manifest_integrity" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed == (out / "report" / "report.txt").read_text()
+    assert "manifest_integrity  FAIL" in printed
 
 
 @pytest.mark.parametrize("text", ["{}", "[]", '{"states": {}}'])
@@ -388,7 +390,9 @@ def test_summary_without_its_fields_fails_integrity(finished_run, tmp_path, caps
     payload = json.loads((out / "report" / "report.json").read_text())
     assert [c["check"] for c in payload["checks"]] == ["manifest_integrity"]
     assert "analysis/summary.json lacks its fields" in payload["checks"][0]["detail"]
-    assert "FAIL  manifest_integrity" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert printed == (out / "report" / "report.txt").read_text()
+    assert "manifest_integrity  FAIL" in printed
 
 
 def test_report_reads_wigner_minima_instead_of_recomputing(tmp_path, monkeypatch):
@@ -527,3 +531,95 @@ def test_cli_seed_override(tmp_path):
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seed", "42"]) == 0
     stored = load_config(out / "config.ini")
     assert stored.seed == 42
+
+
+# ---------------------------------------------------------------- malformed run-directory JSON
+
+
+def _copied_run(finished_run, tmp_path):
+    cfg, done, _, _ = finished_run
+    out = tmp_path / "run"
+    shutil.copytree(done, out)
+    cfg_path = tmp_path / "cfg.ini"
+    save_config(cfg, cfg_path)
+    return out, cfg_path
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", '{"cutoff": 30, "im": []}'], ids=["not_json", "no_re"]
+)
+def test_sample_names_a_malformed_state_file(finished_run, tmp_path, capsys, text):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    victim = out / "states" / "input" / "density_matrix.json"
+    victim.write_text(text)
+    assert cli_main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert str(victim) in capsys.readouterr().err
+
+
+def test_analyze_names_a_malformed_reconstruction(finished_run, tmp_path, capsys):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    victim = out / "recon" / "input" / "density_matrix.json"
+    victim.write_text("{not json")
+    assert cli_main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert str(victim) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[1]", '{"warnings": 1}'])
+def test_unreadable_diagnostics_fail_integrity(finished_run, tmp_path, capsys, text):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    (out / "recon" / "herald_0" / "diagnostics.json").write_text(text)
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    payload = json.loads((out / "report" / "report.json").read_text())
+    integrity = payload["checks"][0]
+    assert integrity["check"] == "manifest_integrity" and not integrity["passed"]
+    assert "recon/herald_0/diagnostics.json unreadable" in integrity["detail"]
+    assert capsys.readouterr().out == (out / "report" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("reconstructed", []), ("simulated", 10**400)], ids=["list", "huge_int"]
+)
+def test_summary_value_of_another_kind_fails_integrity(finished_run, tmp_path, key, value):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    path = out / "analysis" / "summary.json"
+    summary = json.loads(path.read_text())
+    summary["states"]["herald_0"]["origin_wigner"][key] = value
+    path.write_text(json.dumps(summary))
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    payload = json.loads((out / "report" / "report.json").read_text())
+    assert "analysis/summary.json lacks its fields" in payload["checks"][0]["detail"]
+
+
+def test_report_text_escapes_characters_beyond_ascii(finished_run, tmp_path, capsys):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    victim = out / "recon" / "herald_0" / "diagnostics.json"
+    victim.write_text(json.dumps({"warnings": ["\u00e9 \ud800"]}))
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    text = (out / "report" / "report.txt").read_text(encoding="ascii")
+    assert "warning [herald_0]: \\xe9 \\ud800" in text
+    assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize(
+    "stage, entry",
+    [
+        ("simulate", 1),
+        ("analyze", {"files": [], "wall_seconds": 1.0}),
+        ("sample", {"files": {"a.csv": 1}, "wall_seconds": 1.0}),
+        ("sample", {"files": {}, "wall_seconds": float("nan")}),
+        ("sample", {"files": {}, "wall_seconds": "1"}),
+        ("sample", {"files": {}}),
+    ],
+    ids=["entry_int", "files_list", "digest_int", "wall_nan", "wall_text", "wall_missing"],
+)
+def test_malformed_manifest_entry_is_an_unreadable_manifest(
+    finished_run, tmp_path, capsys, stage, entry
+):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"][stage] = entry
+    path.write_text(json.dumps(manifest))
+    assert pipeline._read_manifest(path) is None
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 4
+    assert f"{path} is unreadable" in capsys.readouterr().err

@@ -259,6 +259,12 @@ def test_malformed_records(tmp_path):
     with pytest.raises(SchemaError):
         load_dataset(path)
 
+    # a byte that is not ASCII, in the records or in the metadata
+    for text in ("theta_deg,q\n0.0,0.5\u00e9\n", "#source_id=\u00e9\ntheta_deg,q\n0.0,0.5\n"):
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(SchemaError, match="not ASCII"):
+            load_dataset(path)
+
 
 @pytest.mark.parametrize(
     "line",

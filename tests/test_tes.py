@@ -54,9 +54,6 @@ def test_params_refuse_non_finite_values(name, value):
         ("samples_per_trace", 400.0),
         ("samples_per_trace", "400"),
         ("samples_per_trace", True),
-        ("resolution_is_fwhm", "no"),
-        ("resolution_is_fwhm", 0),
-        ("resolution_is_fwhm", None),
         ("noise_floor", "0.01"),
         ("rise_tau_ns", None),
     ],
@@ -74,10 +71,8 @@ def test_params_refuse_rise_not_below_decay(rise):
 
 
 def test_params_accept_numpy_scalars():
-    params = TesParams(samples_per_trace=np.int64(200), resolution_is_fwhm=np.bool_(False),
-                       noise_floor=np.float64(0.02))
+    params = TesParams(samples_per_trace=np.int64(200), noise_floor=np.float64(0.02))
     assert params.pulse_shape().shape == (200,)
-    assert params.sigma_ev == params.energy_resolution_ev
 
 
 @pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
@@ -91,10 +86,9 @@ def test_pulse_trace_accepts_numpy_integers():
 
 
 def test_sigma_interpretation_flag():
-    fwhm = TesParams()
-    direct = TesParams(resolution_is_fwhm=False)
-    assert fwhm.sigma_ev == pytest.approx(0.176 / (2 * math.sqrt(2 * math.log(2))), rel=1e-12)
-    assert direct.sigma_ev == 0.176
+    # energy_resolution_ev is a FWHM
+    sigma = 0.176 / (2 * math.sqrt(2 * math.log(2)))
+    assert TesParams().sigma_ev == pytest.approx(sigma, rel=1e-12)
 
 
 def test_zero_photon_quiet_trace_is_zero():

@@ -72,13 +72,11 @@ def test_povm_projector_reference_elements():
 
 
 def test_povm_projector_trace_matches_direct_sum():
-    from catsim.fock import quadrature_wavefunction
+    from catsim.fock import quadrature_basis
 
     for theta, q in ((0.0, 0.3), (37.0, -1.2), (90.0, 2.0)):
         pi = povm_projector(theta, q, 20)
-        direct = sum(
-            abs(quadrature_wavefunction(n, q, math.radians(theta))) ** 2 for n in range(21)
-        )
+        direct = np.sum(np.abs(quadrature_basis(20, q, math.radians(theta))) ** 2)
         assert np.trace(pi).real == pytest.approx(direct, abs=1e-12)
 
 
@@ -134,6 +132,40 @@ def test_singular_record_reported_by_dataset_index():
     with pytest.raises(SingularLikelihoodError) as err:
         mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=0.5))
     assert "bins" in str(err.value)
+
+
+def dense_bins(vals, width):
+    """Reference binning: searchsorted over every edge k·width in the records' range."""
+    lo = np.floor(vals.min() / width) - 1
+    hi = np.ceil(vals.max() / width) + 1
+    edges = np.arange(lo, hi + 1) * width
+    bins = np.searchsorted(edges, vals, side="right") - 1
+    hist = np.bincount(bins, minlength=edges.size - 1)
+    keep = hist > 0
+    return (0.5 * (edges[:-1] + edges[1:]))[keep], hist[keep], (np.cumsum(keep) - 1)[bins]
+
+
+@pytest.mark.parametrize("width", [0.05, 0.1, 0.3])
+def test_binning_matches_the_dense_edges(width):
+    # records on and one ulp either side of the edges, and random ones
+    edges = np.arange(-60, 61) * width
+    q = np.concatenate(
+        [np.random.default_rng(7).normal(scale=3.0, size=500), edges,
+         np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+    )
+    tables, column = _phase_tables(HomodyneDataset(np.zeros(q.size), q), 4, width)
+    points, counts, col = dense_bins(q, width)
+    assert np.array_equal(tables.phi[0], _phi_table(4, points))
+    assert np.array_equal(tables.weights, counts) and np.array_equal(column, col)
+
+
+@pytest.mark.parametrize("q", [1e308, -1e308, 1e200])
+@pytest.mark.parametrize("bin_width", [None, 0.1, 1e-300])
+def test_record_beyond_the_float_range_is_singular(q, bin_width):
+    # sqrt(2)·q, or q / bin_width, is inf: the record's table row is 0, not NaN
+    ds = HomodyneDataset(np.array([45.0, 0.0, 45.0]), np.array([0.1, 0.2, q]))
+    with pytest.raises(SingularLikelihoodError):
+        mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=bin_width))
 
 
 # ---------------------------------------------------------------- kernel oracle
