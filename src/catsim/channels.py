@@ -179,7 +179,7 @@ def lossy_number_povm(n: int, eta_i: float, idler_cutoff: int) -> np.ndarray:
 
 def _tapped_branches(
     params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> list[tuple[float, np.ndarray]]:
+) -> tuple[tuple[float, np.ndarray], ...]:
     """Pure-state decomposition of the lossy source after the tap.
 
     The source state after the OPA loss is mixed; each eigenvector is sent
@@ -191,10 +191,24 @@ def _tapped_branches(
     eigendecomposed on its own: a full `eigh` would mix the blocks at
     round-off, while per-block eigenvectors keep every conditioned state
     exactly zero between even and odd photon numbers.
+
+    The branches depend on neither the herald number nor the efficiencies, so
+    they are built once per source and tap and shared, read-only.
     """
-    config = HilbertConfig(params.cutoff)
-    psi = squeezed_vacuum(params.squeeze, config, tail_tol)
-    rho = np.asarray(loss_channel(psi.to_density(), 1.0 - params.opa_loss).elements)
+    return _source_branches(
+        params.cutoff, params.squeeze, params.opa_loss, params.bs_reflectivity,
+        params.idler_cutoff, tail_tol,
+    )
+
+
+@lru_cache(maxsize=8)
+def _source_branches(
+    cutoff: int, squeeze: SqueezeSpec, opa_loss: float, bs_reflectivity: float,
+    idler_cutoff: int, tail_tol: float,
+) -> tuple[tuple[float, np.ndarray], ...]:
+    config = HilbertConfig(cutoff)
+    psi = squeezed_vacuum(squeeze, config, tail_tol)
+    rho = np.asarray(loss_channel(psi.to_density(), 1.0 - opa_loss).elements)
     n = np.arange(config.dim)
     if np.any(rho[(n[:, None] + n[None, :]) % 2 == 1]):
         raise DomainError("the source couples even and odd photon numbers")
@@ -209,15 +223,15 @@ def _tapped_branches(
     pure.sort(key=lambda branch: -branch[0])
     branches = []
     for w, v in pure:
-        two_mode = beamsplitter_join(
-            StateVector.normalize(v, config), params.bs_reflectivity, params.idler_cutoff
-        )
-        branches.append((w, two_mode.amplitudes))
-    return branches
+        signal = StateVector.normalize(v, config)
+        amps = beamsplitter_join(signal, bs_reflectivity, idler_cutoff).amplitudes
+        amps.setflags(write=False)
+        branches.append((w, amps))
+    return tuple(branches)
 
 
 def _conditioned_signal(
-    branches: list[tuple[float, np.ndarray]], povm_diag: np.ndarray
+    branches: tuple[tuple[float, np.ndarray], ...], povm_diag: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Unnormalized signal state and probability for one idler POVM element."""
     dim = branches[0][1].shape[0]

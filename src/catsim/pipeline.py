@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -56,6 +57,25 @@ RATES_HEADER = "state,mean_photon,herald_probability,rate_cps,wigner_min"
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _recorded_file_problem(out: Path, rel: str, digest: str) -> str | None:
+    """Why the manifest's file name `rel` fails the integrity check, or None.
+    Only a regular file inside the run directory is opened."""
+    path = out / rel
+    try:
+        inside = Path(os.path.realpath(path)).is_relative_to(os.path.realpath(out))
+    except ValueError:  # a name that holds a NUL character
+        return "not a file name"
+    if not inside:
+        return "outside the run directory"
+    if not path.exists():
+        return "missing"
+    if not path.is_file():
+        return "not a regular file"
+    if _sha256(path) != digest:
+        return "checksum mismatch"
+    return None
 
 
 def _stage_seed(seed: int, stage: str, index: int) -> int:
@@ -481,19 +501,17 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
     manifest = _require(out, "report", "analyze", cfg)
     t0 = time.perf_counter()
 
-    integrity_failures = []
-    for stage, entry in manifest["stages"].items():
-        for rel, digest in entry["files"].items():
-            p = out / rel
-            if not p.exists():
-                integrity_failures.append(f"{rel} missing")
-            elif _sha256(p) != digest:
-                integrity_failures.append(f"{rel} checksum mismatch")
+    integrity_failures = [
+        f"{rel} {problem}"
+        for entry in manifest["stages"].values()
+        for rel, digest in entry["files"].items()
+        if (problem := _recorded_file_problem(out, rel, digest))
+    ]
     recon_warnings = {}
     for diag_path in sorted((out / "recon").glob("*/diagnostics.json")):
         try:
             diag = read_json(diag_path)
-        except SchemaError:
+        except (SchemaError, OSError):  # not JSON, or not a readable file
             diag = None
         if not isinstance(diag, dict) or not isinstance(diag.get("warnings", []), list):
             integrity_failures.append(f"{diag_path.relative_to(out).as_posix()} unreadable")
@@ -502,7 +520,7 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
     physics: list[dict] = []
     try:
         summary = read_json(out / "analysis" / "summary.json")
-    except SchemaError as exc:  # no physics check can read it
+    except (SchemaError, OSError) as exc:  # no physics check can read it
         integrity_failures.insert(0, f"analysis/summary.json unreadable ({exc})")
     else:
         try:

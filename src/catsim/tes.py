@@ -13,12 +13,19 @@ k of row n draws from its own generator, seeded by
 SeedSequence(seed, spawn_key=(n, k)). The blocks are dealt round-robin to one
 thread per usable CPU (numpy releases the interpreter lock while it fills
 arrays); their counts are integers summed per row, so the matrix depends only
-on the arguments and not on the thread count.
+on the arguments and not on the thread count. A block's fixed cost (its
+generator, the decision pass and a median over a few rows) holds the
+interpreter lock, so blocks are 10 000 pulses: at 1000 that cost, not the
+noise, set the run time.
 
 Noise is drawn only where it can change a result, by one bound: no noise
-sample lies beyond r = K·noise_floor (K = PEAK_WINDOW_SIGMAS = 20). A draw
-beyond K sigma has probability below 1e-88, and numpy's ziggurat sampler
-cannot produce one at all (its tail step caps |z| near 12.2).
+sample lies beyond r = K·noise_floor (K = PEAK_WINDOW_SIGMAS = 13). numpy's
+ziggurat sampler cannot draw beyond K sigma. Its tail step returns
+R + x with R = 3.6541528853610088 and x = -log1p(-u1)/R, and accepts only
+if -2·log1p(-u2) > x^2; every uniform u is at most 1 - 2^-53, so
+|z| < R + sqrt(2·53·ln 2) = 12.2258 (Marsaglia and Tsang, J. Stat. Softw.
+5(8), 2000, for the method). For an exact normal, P(|z| > 13) = 1.2e-38 per
+draw.
 
 Whole pulses. The unit pulse shape s has its peak sample exactly 1.0, every
 other sample in [0, 1], and its pre-onset samples exactly 0. So with every
@@ -40,8 +47,10 @@ pre-onset columns are always kept for the baseline median, and h_min <= 0
 keeps every column.
 
 Streams. Each block draws its pulse heights (rows n >= 1) and then one
-normal array of shape (open pulses, window columns). When every pulse is
-open, as at a large noise_floor, that is exactly the draw of a classifier
+normal array of shape (open pulses, window columns), filled in chunks of at
+most _TRACE_ROWS rows to bound a block's trace memory. numpy fills normals
+in order, so the chunks hold exactly the rows of one draw. When every pulse
+is open, as at a large noise_floor, that is exactly the draw of a classifier
 that decides nothing; with noise_floor = 0 no noise is drawn at all. In
 between, only the open pulses consume noise, so the matrix is a different
 Monte Carlo sample of the same distribution.
@@ -64,8 +73,9 @@ from . import export
 from .errors import DomainError, SaturationWarning
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
-BLOCK_TRIALS = 1000  # pulses per seeded block; small blocks keep peak memory low
-PEAK_WINDOW_SIGMAS = 20  # K: no noise draw lies beyond K sigma (see the module docstring)
+BLOCK_TRIALS = 10_000  # pulses per seeded block (see the module docstring)
+PEAK_WINDOW_SIGMAS = 13  # K: no noise draw lies beyond K sigma (see the module docstring)
+_TRACE_ROWS = 1000  # open pulses traced at once; bounds a block's trace memory
 
 
 def _integer(value, name: str) -> int:
@@ -261,17 +271,21 @@ def _decide(params: TesParams, heights: np.ndarray, n_max: int) -> tuple[np.ndar
 def _block_counts(params: TesParams, shape: np.ndarray, n_max: int, n: int, k: int,
                   size: int, entropy: int) -> np.ndarray:
     """Assignment counts of block k of true photon number n, on its own stream;
-    only the open pulses draw noise, on their peak window."""
+    only the open pulses draw noise, on their peak window, _TRACE_ROWS at a time."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(n, k)))
     sigma_rel = params.sigma_ev / params.photon_energy_ev
     heights = np.zeros(size) if n == 0 else n + rng.normal(0.0, sigma_rel, size)
     est, is_open = _decide(params, heights, n_max)
     if is_open.any():
         open_heights = heights[is_open]
-        cols = _peak_window(params, open_heights.min(), shape)
-        traces = open_heights[:, None] * shape[cols]
-        traces += rng.normal(0.0, params.noise_floor, traces.shape)
-        est[is_open] = _classes(_heights_from_traces(traces, params), n_max)
+        window = shape[_peak_window(params, open_heights.min(), shape)]
+        open_est = np.empty(open_heights.size)
+        for start in range(0, open_heights.size, _TRACE_ROWS):
+            chunk = slice(start, start + _TRACE_ROWS)
+            traces = open_heights[chunk, None] * window
+            traces += rng.normal(0.0, params.noise_floor, traces.shape)
+            open_est[chunk] = _classes(_heights_from_traces(traces, params), n_max)
+        est[is_open] = open_est
     return np.bincount(est.astype(int), minlength=n_max + 1)
 
 

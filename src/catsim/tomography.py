@@ -219,8 +219,10 @@ def _phase_tables(
             points, counts, col = q[idx], np.ones(idx.size), np.arange(idx.size)
             index.append(idx)
         else:
-            # bin k holds k·w <= q < (k+1)·w, as those float products compare
-            k = np.floor(q[idx] / bin_width)
+            # bin k holds k·w <= q < (k+1)·w, as those float products compare; a
+            # record whose q / w overflows is binned at +-inf, and its table row is 0
+            with np.errstate(over="ignore"):
+                k = np.floor(q[idx] / bin_width)
             k -= k * bin_width > q[idx]
             k += (k + 1) * bin_width <= q[idx]
             occupied, col, hist = np.unique(k, return_inverse=True, return_counts=True)

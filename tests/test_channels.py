@@ -1,5 +1,6 @@
 import configparser
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,6 +352,7 @@ def test_source_coupling_parities_is_refused(monkeypatch):
     monkeypatch.setattr(
         channels, "squeezed_vacuum", lambda spec, cfg, tail_tol: coherent_state(0.5, cfg)
     )
+    channels._source_branches.cache_clear()  # build the branches from the patched source
     with pytest.raises(DomainError, match="even and odd"):
         herald_subtract(PAPER.with_herald(1))
 
@@ -481,3 +483,14 @@ def test_input_state_matches_loss_chain():
     sv = squeezed_vacuum(PAPER.squeeze, HilbertConfig(PAPER.cutoff))
     want = loss_channel(loss_channel(sv.to_density(), 0.95), 0.85)
     assert np.max(np.abs(rho.elements - want.elements)) < 1e-12
+
+
+def test_tapped_branches_are_built_once_per_source_and_tap():
+    channels._source_branches.cache_clear()
+    for n in range(5):
+        herald_subtract(PAPER.with_herald(n))
+    herald_probabilities(replace(PAPER, idler_efficiency=0.3, signal_efficiency=0.5))
+    assert channels._source_branches.cache_info().misses == 1
+    branches = _tapped_branches(PAPER)
+    assert all(not amps.flags.writeable for _, amps in branches)
+    assert _tapped_branches(replace(PAPER, bs_reflectivity=0.8)) is not branches

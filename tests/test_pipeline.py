@@ -623,3 +623,48 @@ def test_malformed_manifest_entry_is_an_unreadable_manifest(
     assert pipeline._read_manifest(path) is None
     assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 4
     assert f"{path} is unreadable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["absolute", "../outside.txt"])
+def test_report_opens_no_recorded_name_outside_the_run(finished_run, tmp_path, capsys, name):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    outside = tmp_path / "outside.txt"
+    outside.write_text("not a run file\n")
+    name = str(outside) if name == "absolute" else name
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"]["simulate"]["files"][name] = pipeline._sha256(outside)  # a matching digest
+    path.write_text(json.dumps(manifest))
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    integrity = json.loads((out / "report" / "report.json").read_text())["checks"][0]
+    assert integrity["check"] == "manifest_integrity" and not integrity["passed"]
+    assert f"{name} outside the run directory" in integrity["detail"]
+    assert capsys.readouterr().out == (out / "report" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "name, problem", [("states", "not a regular file"), ("a\x00b", "not a file name")]
+)
+def test_report_names_a_recorded_name_that_is_no_file(finished_run, tmp_path, capsys, name, problem):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["stages"]["simulate"]["files"][name] = "0" * 64
+    path.write_text(json.dumps(manifest))
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    integrity = json.loads((out / "report" / "report.json").read_text())["checks"][0]
+    assert integrity["check"] == "manifest_integrity" and not integrity["passed"]
+    assert f"{name} {problem}" in integrity["detail"]
+    assert capsys.readouterr().out == (out / "report" / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("rel", ["analysis/summary.json", "recon/herald_0/diagnostics.json"])
+def test_report_file_replaced_by_a_directory_fails_integrity(finished_run, tmp_path, capsys, rel):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    (out / rel).unlink()
+    (out / rel).mkdir()
+    assert cli_main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+    integrity = json.loads((out / "report" / "report.json").read_text())["checks"][0]
+    assert integrity["check"] == "manifest_integrity" and not integrity["passed"]
+    assert f"{rel} unreadable" in integrity["detail"]
+    assert capsys.readouterr().out == (out / "report" / "report.txt").read_text()

@@ -25,6 +25,7 @@ from catsim.tes import (
 
 DEFAULTS = TesParams()
 QUIET = TesParams(noise_floor=0.0)
+TIGHT_HEIGHT = 1.5 - 2 * PEAK_WINDOW_SIGMAS * DEFAULTS.noise_floor - 1e-4  # class 1, 1e-4 to spare
 
 
 def test_params_validation():
@@ -296,21 +297,25 @@ def test_noiseless_window_is_baseline_and_peak():
 
 def test_confusion_is_independent_of_thread_count(monkeypatch):
     params = TesParams(energy_resolution_ev=0.4)
+    n_max, trials = 3, 4 * (2 * BLOCK_TRIALS + BLOCK_TRIALS // 2) + 3
+    assert 2 * BLOCK_TRIALS < -(-trials // (n_max + 1)) < 3 * BLOCK_TRIALS  # the last block partial
     runs = []
     for threads in (1, 2, 3, 3):
         monkeypatch.setattr(tes, "_cpu_count", lambda: threads)
-        runs.append(confusion(params, 3, 10_003, seed=5).matrix.tobytes())
+        runs.append(confusion(params, n_max, trials, seed=5).matrix.tobytes())
     assert len(set(runs)) == 1
-    assert confusion(params, 3, 10_003, seed=6).matrix.tobytes() != runs[0]
+    assert confusion(params, n_max, trials, seed=6).matrix.tobytes() != runs[0]
 
 
 def test_confusion_equals_full_trace_estimator_on_the_same_streams():
+    # every pulse is open, and a row's 1667 pulses are traced in two chunks
     params = TesParams(noise_floor=0.15)
     n_max, trials, seed = 2, 5_001, 9
     shape = params.pulse_shape()
     assert _peak_window(params, n_max, shape).size == shape.size  # every block draws the whole trace
     sigma_rel = params.sigma_ev / params.photon_energy_ev
     per_row = -(-trials // (n_max + 1))
+    assert tes._TRACE_ROWS < per_row <= BLOCK_TRIALS
     counts = np.zeros((n_max + 1, n_max + 1), dtype=np.int64)
     for n in range(n_max + 1):
         for k, start in enumerate(range(0, per_row, BLOCK_TRIALS)):
@@ -323,6 +328,42 @@ def test_confusion_equals_full_trace_estimator_on_the_same_streams():
     want = counts / per_row
     assert 0.01 < want[0, 1] < 0.99  # the noise misassigns: the comparison has content
     assert confusion(params, n_max, trials, seed).matrix.tobytes() == want.tobytes()
+
+
+def test_sampler_cap_lies_below_the_bound():
+    # numpy's largest accepted ziggurat tail draw: R + x with x = -log1p(-u1)/R,
+    # accepted while -2·log1p(-u2) > x^2, at u2 = 1 - 2^-53 and u1 just below
+    # the value where that test fails
+    r = 3.6541528853610088
+    x_cap = math.sqrt(2 * 53 * math.log(2))
+    u1 = int(-math.expm1(-r * x_cap) * 2**53)
+    while (-math.log1p(-u1 / 2**53) / r) ** 2 >= 2 * 53 * math.log(2):
+        u1 -= 1
+    # one uint64 with layer index 0 and |bits| in the tail, then u1 and u2,
+    # each double from two 32-bit outputs (27 and 26 bits)
+    words = [0xFFFFFF00, 0xFFFFFF00, (u1 >> 26) << 5, (u1 % 2**26) << 6, 0xFFFFFFFF, 0xFFFFFFFF]
+    bits = np.random.MT19937(0)
+    state = bits.state
+    state["state"]["key"][: len(words)] = [_untempered(w) for w in words]
+    state["state"]["pos"] = 0
+    bits.state = state
+    z = np.random.Generator(bits).standard_normal()
+    assert abs(abs(z) - (r + x_cap)) < 1e-2
+    assert abs(z) < PEAK_WINDOW_SIGMAS
+
+
+def _untempered(y):
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x & 0xFFFFFFFF
+    x = y
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
 
 
 def _planted(params, heights, z, pattern):
@@ -344,13 +385,14 @@ def _planted(params, heights, z, pattern):
 
 
 DECISION_HEIGHTS = np.array(
-    [-0.3, -0.05, 0.0, 0.04, 0.3, 0.75, 0.9, 0.99, 1.0, 1.0999, 1.25, 1.7, 2.05, 2.5, 3.91, 4.3, 6.2]
+    [-0.3, -0.05, 0.0, 0.04, 0.3, 0.75, 0.9, 0.99, 1.0, TIGHT_HEIGHT, 1.25, 1.7, 2.05, 2.5,
+     3.91, 4.3, 6.2]
 )
 
 
 @pytest.mark.parametrize("pattern", ["up", "down", "random"])
 def test_decided_pulses_keep_their_class_under_noise_within_the_bound(pattern):
-    params = DEFAULTS  # 2·K·noise_floor = 0.4
+    params = DEFAULTS
     sigma = params.noise_floor
     n_max = 4
     est, is_open = _decide(params, DECISION_HEIGHTS, n_max)
@@ -363,10 +405,10 @@ def test_decided_pulses_keep_their_class_under_noise_within_the_bound(pattern):
 
 
 def test_pulse_decision_bound_is_tight():
-    # h = 1.0999 is decided as class 1 with 0.0001 to spare; one sigma past the
-    # bound the planted noise lifts its full-trace height past 1.5
+    # h = 1.5 - 2·K·noise_floor - 1e-4 is decided as class 1 with 0.0001 to spare;
+    # one sigma past the bound the planted noise lifts its full-trace height past 1.5
     params = DEFAULTS
-    heights = np.array([1.0999])
+    heights = np.array([TIGHT_HEIGHT])
     est, is_open = _decide(params, heights, 4)
     assert not is_open[0] and est[0] == 1
     z = (PEAK_WINDOW_SIGMAS + 1.0) * params.noise_floor
@@ -376,7 +418,7 @@ def test_pulse_decision_bound_is_tight():
 def test_non_positive_height_is_open_when_the_bound_reaches_half_a_photon():
     # 2·K·noise_floor = 0.6: h = -0.2 would look decided as class 0 from h itself, but
     # the baseline sets the maximum, and noise within the bound lifts the height to 0.6
-    params = TesParams(noise_floor=0.015)
+    params = TesParams(noise_floor=0.3 / PEAK_WINDOW_SIGMAS)
     heights = np.array([-0.2, 0.0])
     est, is_open = _decide(params, heights, 4)
     assert is_open.all()

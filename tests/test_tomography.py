@@ -159,10 +159,12 @@ def test_binning_matches_the_dense_edges(width):
     assert np.array_equal(tables.weights, counts) and np.array_equal(column, col)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("q", [1e308, -1e308, 1e200])
 @pytest.mark.parametrize("bin_width", [None, 0.1, 1e-300])
 def test_record_beyond_the_float_range_is_singular(q, bin_width):
-    # sqrt(2)·q, or q / bin_width, is inf: the record's table row is 0, not NaN
+    # sqrt(2)·q, or q / bin_width, is inf: the record's table row is 0, not NaN,
+    # and no numpy warning comes before the typed error
     ds = HomodyneDataset(np.array([45.0, 0.0, 45.0]), np.array([0.1, 0.2, q]))
     with pytest.raises(SingularLikelihoodError):
         mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=bin_width))
