@@ -40,7 +40,6 @@ from .phasespace import (
     origin_parity,
     rho_quad,
     wigner,
-    wigner_integral_oracle,
 )
 from .sampler import (
     HomodyneDataset,

@@ -108,7 +108,7 @@ def _read(cp: configparser.ConfigParser, section: str, cls):
 class RunConfig:
     experiment: ExperimentParams = field(default_factory=ExperimentParams)
     plan: PhasePlan = field(default_factory=PhasePlan)
-    mle: MleConfig = field(default_factory=lambda: MleConfig(bin_width=0.05))
+    mle: MleConfig = field(default_factory=lambda: MleConfig(cutoff=18, bin_width=0.05))
     grids: GridSpec = field(default_factory=GridSpec)
     cat: CatSpec = field(default_factory=CatSpec)
     mode: str = SUBTRACTION_MODE

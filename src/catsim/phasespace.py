@@ -3,11 +3,14 @@ matrices, and marginal distributions, all derived from a Fock-basis state.
 
 The Wigner function is normalized so that its double integral is 1 and the
 vacuum peaks at 1/pi; its value at the origin is 1/pi times the photon-number
-parity expectation. W is evaluated without per-element special functions:
-it sums the Fock-basis Laguerre kernels band by band (d = m - n), with the
-normalized Laguerre factors of each band taken from their upward three-term
-recurrence over n, as in QuTiP's Laguerre summation (Johansson, Nation,
-Nori, CPC 184, 1234 (2013)).
+parity expectation. W is a real bilinear form on the phi_k table below:
+  W(x, p) = sum_{a,b} C[a, b]·phi_a(x)·phi_b(p),
+so a grid is two real matrix products. It follows from
+W = (1/pi)·∫ e^{-2ipy} <x+y|rho|x-y> dy and the 50:50 beam-splitter identity
+  psi_n(x+y)·psi_m(x-y) = sum_k B^{nm}_k·psi_k(sqrt(2)·x)·psi_{N-k}(sqrt(2)·y),
+N = n + m, with the Fourier transform of psi_j(sqrt(2)·y) equal to
+sqrt(pi)·(-i)^j·psi_j(sqrt(2)·p). C[a, b] is nonzero only where a + b = n + m
+for some element rho[n, m].
 
 Every read of the quadrature diagonal goes through one product basis. With
 <n|q,theta> = psi_n(q)·u_n, psi_n real, u = e^{i n theta}, U = diag(u) and
@@ -34,13 +37,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
 from .export import fields, write_rows
-from .fock import DensityMatrix, _phase_factors, hermite_functions, quadrature_basis
+from .fock import DensityMatrix, _phase_factors, hermite_functions
+from .fock import quadrature_basis  # noqa: F401  (benchmarks/tracing.py patches this name)
 
-_IMAG_RESIDUE_TOL = 1e-10
 
-_COHERENCE_AXIS = np.linspace(-6.0, 6.0, 241)  # the one axis coherence_peak reads on
+def grid_axis(lo: float, hi: float, points: int) -> np.ndarray:
+    """np.linspace(lo, hi, points), made exactly antisymmetric when lo = -hi.
+
+    linspace's upper half differs from the negated lower half in the last
+    bits. On a symmetric axis the upper half is the exact negation of the
+    lower one and an odd axis has an exact 0.0 centre, so values that
+    mirror each other on a grid of a parity-definite state are bitwise
+    equal and formatted once.
+    """
+    axis = np.linspace(lo, hi, points)
+    if lo == -hi:
+        half = points // 2
+        axis[points - half :] = -axis[:half][::-1]
+        if points % 2:
+            axis[half] = 0.0
+    return axis
+
+
+_COHERENCE_AXIS = grid_axis(-6.0, 6.0, 241)  # the one axis coherence_peak reads on
 _COHERENCE_AXIS.setflags(write=False)
 
 
@@ -76,94 +96,67 @@ class QuadDensityMatrix:
         return self.values.diagonal().real
 
 
-def _wigner_values(rho: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Evaluate W at paired points via the Fock-basis Laguerre expansion.
+@lru_cache(maxsize=None)
+def _beam_splitter_map(cutoff: int) -> np.ndarray:
+    """G[N, n, a] = B^{n, N-n}_a, the 50:50 beam-splitter amplitude
+    <a, N-a| BS |n, N-n>, for N <= 2·cutoff and n, N - n <= cutoff (exact
+    zero elsewhere), as a read-only (2·cutoff+1, cutoff+1, 2·cutoff+1) array
+    built once per cutoff.
 
-    The |m><n| kernel (m >= n, d = m - n) is
-      (1/pi)·e^{-x^2-p^2}·(x-ip)^d·l_n^d(2(x^2+p^2)),
-      l_n^d = (-1)^n·sqrt(2^d n!/m!)·L_n^d,
-    with the m < n kernel its complex conjugate. For each d the normalized
-    l_n^d come from the upward three-term Laguerre recurrence
-      l_{n+1} = ((arg - 2n - 1 - d)·l_n - sqrt(n(n+d))·l_{n-1}) / sqrt((n+1)(n+d+1)),
-    started at l_0 = sqrt(2^d/d!), so no factorial or polynomial is ever
-    evaluated on its own. A real rho keeps the sums in real arithmetic.
+    B^{nm}_a is 2^{-N/2}·sqrt(a!(N-a)!/(n!m!)) times the coefficient of c^a in
+    (c + 1)^n·(c - 1)^m. Those integer coefficients come from the two
+    polynomial recurrences in Python integers, so they are exact, and
+    sqrt(a!(N-a)!/(n!m!)) = sqrt(C(N, n)/C(N, a)) keeps the scale in float
+    range: each entry is a few ulp from the exact value.
     """
-    if not np.any(np.imag(rho)):
-        rho = np.real(rho)
-    dim = rho.shape[0]
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    r2 = x * x + p * p
-    arg = 2.0 * r2
-    envelope = np.exp(-r2) / np.pi
-    z = x - 1j * p
-    w = np.zeros(np.broadcast(x, p).shape, dtype=complex)
-    zpow = np.ones_like(w)
-    for d in range(dim):
-        a_diag = np.diagonal(rho, -d)  # rho[n+d, n]
-        b_diag = np.diagonal(rho, d)  # rho[n, n+d]
-        if a_diag.any() or b_diag.any():
-            upper = np.zeros(w.shape, dtype=rho.dtype)
-            lower = np.zeros(w.shape, dtype=rho.dtype)
-            prev = np.zeros(w.shape)
-            lag = np.full(w.shape, math.exp(0.5 * (d * math.log(2.0) - math.lgamma(d + 1))))
-            for n, (a, b) in enumerate(zip(a_diag, b_diag)):
-                if a != 0:
-                    upper += a * lag
-                if d > 0 and b != 0:
-                    lower += b * lag
-                if n + 1 < a_diag.size:
-                    nxt = (arg - (2 * n + 1 + d)) * lag
-                    nxt -= math.sqrt(n * (n + d)) * prev
-                    nxt /= math.sqrt((n + 1) * (n + d + 1))
-                    prev, lag = lag, nxt
-            w += zpow * upper
-            if d > 0:
-                w += np.conj(zpow) * lower
-        if d + 1 < dim:
-            zpow = zpow * z
-    w = envelope * w
-    residue = float(np.max(np.abs(w.imag))) if w.size else 0.0
-    if residue > _IMAG_RESIDUE_TOL:
-        raise DomainError(f"Wigner evaluation left an imaginary residue of {residue}")
-    return w.real
+    dim, big = cutoff + 1, 2 * cutoff + 1
+    t = np.zeros((dim, dim, big), dtype=object)
+    t[0, 0, 0] = 1
+    for m in range(cutoff):  # (c - 1)^(m+1) = c·(c - 1)^m - (c - 1)^m
+        t[0, m + 1, 1:] = t[0, m, :-1]
+        t[0, m + 1] -= t[0, m]
+    for n in range(cutoff):  # (c + 1)^(n+1)·(c - 1)^m, for every m at once
+        t[n + 1, :, 1:] = t[n, :, :-1]
+        t[n + 1] += t[n]
+    binom = np.array([[float(math.comb(N, a)) for a in range(big)] for N in range(big)])
+    n, m, a = np.ogrid[:dim, :dim, :big]
+    total = n + m
+    ratio = binom[total, n] / np.where(a <= total, binom[total, a], 1.0)  # t is 0 for a > n + m
+    b = t.astype(float) * np.sqrt(ratio) * 0.5 ** (total / 2)  # b[n, m, a]
+    total, n = np.ogrid[:big, :dim]  # regroup by N = n + m
+    inside = (total - n >= 0) & (total - n <= cutoff)
+    g = b[n, np.clip(total - n, 0, cutoff)] * inside[:, :, None]
+    g.setflags(write=False)
+    return g
+
+
+def _wigner_coefficients(rho: np.ndarray) -> np.ndarray:
+    """The real matrix C with W(x, p) = sum_{a,b} C[a, b]·phi_a(x)·phi_b(p).
+
+    C[a, N-a] = (2·pi)^{-1/2}·sum_{n+m=N} rho[n, m]·B^{nm}_a·(-i)^{N-a}. As
+    B^{mn}_a = (-1)^{N-a}·B^{nm}_a and rho is Hermitian, the sum takes Re rho
+    on even b = N - a and i·Im rho on odd b, so C is real: with the phase,
+    C[a, b] = (-1)^{floor(b/2)}·(2·pi)^{-1/2}·sum_n B^{n,N-n}_a·(Re or Im)rho[n, N-n].
+    """
+    cutoff = rho.shape[0] - 1
+    big = 2 * cutoff + 1
+    n = np.arange(cutoff + 1)
+    pairs = rho[n, np.clip(np.arange(big)[:, None] - n, 0, cutoff)]  # rho[n, N-n] where G is nonzero
+    sums = np.zeros((2 * big, 2, big))  # [N, Re/Im, a]; rows N > 2·cutoff stay zero
+    sums[:big] = np.stack([pairs.real, pairs.imag], axis=1) @ _beam_splitter_map(cutoff)
+    a, b = np.ogrid[:big, :big]
+    return sums[a + b, b % 2, a] * ((-1.0) ** (b // 2) / math.sqrt(2.0 * math.pi))
 
 
 def wigner(rho: DensityMatrix, x_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
-    """Wigner function on the rectangular grid of two axes."""
+    """Wigner function on the rectangular grid of two axes: Phi(x)^T·C·Phi(p)."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
-    xg, pg = np.meshgrid(x_axis, p_axis, indexing="ij")
-    values = _wigner_values(np.asarray(rho.elements), xg, pg)
+    elements = np.asarray(rho.elements)
+    cutoff = elements.shape[0] - 1
+    c = _wigner_coefficients(elements)
+    values = (_phi_table(cutoff, x_axis).T @ c) @ _phi_table(cutoff, p_axis)
     return WignerGrid(x_axis, p_axis, values)
-
-
-def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
-    """W(x, p) by direct quadrature of (1/pi)·∫ e^{2·i·p'·x} rho(p+p', p-p') dp'.
-
-    The momentum-basis matrix elements come from the quadrature wavefunctions
-    at theta = pi/2; the trapezoid grid is refined until two successive
-    refinements agree to 1e-8.
-    """
-    dim = rho.config.dim
-    half_width = np.sqrt(2.0 * rho.config.cutoff + 1.0) + 6.0 + abs(p)
-    rho_m = np.asarray(rho.elements)
-    previous = None
-    points = 1025
-    while points <= 2**17 + 1:
-        pp = np.linspace(-half_width, half_width, points)
-        wa = quadrature_basis(dim - 1, p + pp, np.pi / 2)  # <n|a>
-        wb = quadrature_basis(dim - 1, p - pp, np.pi / 2)
-        kernel = np.einsum("ni,nm,mi->i", wa.conj(), rho_m, wb)
-        integrand = np.exp(2j * pp * x) * kernel / np.pi
-        value = complex(np.trapezoid(integrand, pp))
-        if previous is not None and abs(value - previous) <= 1e-8 * max(1.0, abs(value)):
-            if abs(value.imag) > 1e-6:
-                raise ConvergenceError(f"imaginary residue {value.imag} in Wigner quadrature")
-            return float(value.real)
-        previous = value
-        points = 2 * (points - 1) + 1
-    raise ConvergenceError("Wigner quadrature did not converge under grid refinement")
 
 
 def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .fock import (
 from .phasespace import (
     _coherence_profile,
     coherence_peak,
+    grid_axis,
     marginal_sweep,
     origin_parity,
     rho_quad,
@@ -189,8 +190,8 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
     files.append(config_path)
 
     g = cfg.grids
-    quad_axis = np.linspace(g.quad_min, g.quad_max, g.quad_points)
-    wx = np.linspace(g.wigner_min, g.wigner_max, g.wigner_points)
+    quad_axis = grid_axis(g.quad_min, g.quad_max, g.quad_points)
+    wx = grid_axis(g.wigner_min, g.wigner_max, g.wigner_points)
     angles = np.arange(-90.0, 90.0 + g.marginal_step_deg / 2, g.marginal_step_deg)
 
     states = _build_states(cfg)

@@ -31,21 +31,15 @@ from catsim.fock import (
     mixed_coherent,
     squeezed_vacuum,
 )
-from catsim.phasespace import (
-    _wigner_values,
-    coherence_peak,
-    marginal,
-    origin_parity,
-    wigner,
-    wigner_integral_oracle,
-)
+from catsim.phasespace import coherence_peak, grid_axis, marginal, origin_parity, wigner
 from catsim.sampler import PhasePlan, synth_dataset
 from catsim.tes import TesParams, adjacent_confusion_estimate, confusion
 from catsim.tomography import MleConfig, bootstrap, mle_reconstruct
+from oracles import laguerre_wigner, wigner_integral_oracle
 
 PAPER = ExperimentParams()  # 6.5 dB, opa loss 0.05, R = 0.81, eta_i = 0.4, eta_s = 0.85
 SEED = 20240811
-W_AXIS = np.linspace(-5.0, 5.0, 201)  # the default [grids] Wigner axis
+W_AXIS = grid_axis(-5.0, 5.0, 201)  # the default [grids] Wigner axis
 
 
 def _finish(number, name, failures, t0):
@@ -200,7 +194,7 @@ def test_criterion_08_cross_method_oracle():
         rho = DensityMatrix(rho_m, HilbertConfig(8))
         pts = rng.normal(scale=1.3, size=(25, 2))
         for x, p in pts:
-            direct = float(_wigner_values(rho.elements, x, p))
+            direct = wigner(rho, [x], [p]).values[0, 0]
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             if abs(direct - oracle) > 1e-6:
                 failures.append(
@@ -221,7 +215,7 @@ def test_criterion_08_cross_method_oracle():
             for i, q in enumerate(qs):
                 xs = q * math.cos(theta) - s * math.sin(theta)
                 ps = q * math.sin(theta) + s * math.cos(theta)
-                proj[i] = np.trapezoid(_wigner_values(rho.elements, xs, ps), s)
+                proj[i] = np.trapezoid(laguerre_wigner(rho.elements, xs, ps), s)
             err = float(np.max(np.abs(pdf - proj)))
             if err > 1e-4:
                 failures.append(f"Radon mismatch {err:.2e} at theta={theta:.2f}")

@@ -16,12 +16,13 @@ from catsim.fock import SqueezeSpec
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
 
-# run directories record these hashes; a codec change must not move them
+# run directories record these hashes; a codec change must not move them, a
+# change of a preset's values does
 PRESET_HASHES = {
-    "default": "7bd37d6a5204ad491d33ca4e04e5b22e30c68e587bee264376ef4268a57bee1c",
-    "lossless": "8e31c1fb7ea69d3f5a15d66e72e8f8e749ec6d48cf7edc06c4ef89c22aa37289",
-    "pure_subtraction": "870b175a07881c742e89f8dce1fcd155346afa1ccfa51e6213b3004204ebd3c0",
-    "cat_panels": "dafd5fad638907d2d4fcde4e0f64e0360ae0ac4f7b22c33fb9e1cca09c827380",
+    "default": "6a2b979436918258119ff8f9d1532ac9027f2db1c2f5201c899ba5e3d38a07c2",
+    "lossless": "84ff090d822cf2f46cd4919227027d282bc4cc3efc823e3dc58c28094d0baed4",
+    "pure_subtraction": "00cbb49f0a99a5e92b4ebf4b85d43210408d51e46aa3960c6fc32cf044f0582c",
+    "cat_panels": "36ce36f5cfca2f91012b79c4a29ebc309e3daf73282f81ad730a7181939162a5",
 }
 
 # the keys an INI may leave out; every other key is required

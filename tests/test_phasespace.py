@@ -19,9 +19,11 @@ from catsim.fock import (
 from catsim.phasespace import (
     QuadDensityMatrix,
     WignerGrid,
+    _beam_splitter_map,
     _coherence_profile,
-    _wigner_values,
+    _wigner_coefficients,
     coherence_peak,
+    grid_axis,
     marginal,
     marginal_sweep,
     origin_parity,
@@ -30,9 +32,9 @@ from catsim.phasespace import (
     save_quad_csv,
     save_wigner_csv,
     wigner,
-    wigner_integral_oracle,
 )
 from catsim.pipeline import _build_states
+from oracles import beam_splitter_amplitude, laguerre_wigner, wigner_integral_oracle
 
 CFG = HilbertConfig(30)
 
@@ -52,9 +54,9 @@ def random_dm(seed, cutoff=8):
 
 
 # the default [grids] quadrature axis, and the one coherence_peak reads on
-AXIS = np.linspace(-6.0, 6.0, 241)
+AXIS = grid_axis(-6.0, 6.0, 241)
 # the default [grids] Wigner axis
-W_AXIS = np.linspace(-5.0, 5.0, 201)
+W_AXIS = grid_axis(-5.0, 5.0, 201)
 
 
 def test_wigner_fock_state_origin_values():
@@ -91,9 +93,90 @@ def test_wigner_cross_method_agreement():
         rho = random_dm(seed, cutoff=6)
         pts = rng.normal(scale=1.3, size=(6, 2))
         for x, p in pts:
-            direct = float(_wigner_values(rho.elements, x, p))
+            direct = wigner(rho, [x], [p]).values[0, 0]
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             assert direct == pytest.approx(oracle, abs=1e-6)
+
+
+def _wigner_cases():
+    cases = []
+    for cutoff in (1, 2, 5, 15, 30):
+        config = HilbertConfig(cutoff)
+        cases += [(f"fock_{n}_of_{cutoff}", fock_dm(n, config)) for n in sorted({0, 1, cutoff})]
+        cases.append((f"random_{cutoff}", random_dm(cutoff, cutoff=cutoff)))
+    cases.append(("cat", cat_state(2.5j, "even", CFG).to_density()))
+    cases += list(_build_states(preset("default")).items())
+    return dict(cases)
+
+
+WIGNER_CASES = _wigner_cases()  # Fock, random complex, cat and every default state
+
+
+@pytest.mark.parametrize("rho", list(WIGNER_CASES.values()), ids=list(WIGNER_CASES))
+def test_wigner_bilinear_form_matches_laguerre_oracle(rho):
+    xg, pg = np.meshgrid(W_AXIS[::4], W_AXIS[::4], indexing="ij")
+    expected = laguerre_wigner(np.asarray(rho.elements), xg, pg)
+    assert np.max(np.abs(wigner(rho, W_AXIS[::4], W_AXIS[::4]).values - expected)) < 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 15])
+def test_beam_splitter_map_matches_exact_integer_formula(cutoff):
+    g = _beam_splitter_map(cutoff)
+    expected = np.zeros(g.shape)
+    for total in range(2 * cutoff + 1):
+        for n in range(max(0, total - cutoff), min(total, cutoff) + 1):
+            for a in range(2 * cutoff + 1):
+                expected[total, n, a] = beam_splitter_amplitude(n, total - n, a)
+    assert np.max(np.abs(g - expected)) < 1e-15
+    assert np.array_equal(g == 0.0, expected == 0.0)  # exact zeros where no pair n + m = N exists
+
+
+def test_wigner_coefficients_are_the_real_form_of_the_complex_sum():
+    rho = np.asarray(random_dm(5, cutoff=6).elements)
+    big = 2 * 6 + 1
+    expected = np.zeros((big, big), dtype=complex)
+    for n in range(7):
+        for m in range(7):
+            for a in range(n + m + 1):
+                b = n + m - a
+                amp = beam_splitter_amplitude(n, m, a)
+                expected[a, b] += rho[n, m] * amp * (-1j) ** b / math.sqrt(2.0 * math.pi)
+    c = _wigner_coefficients(rho)
+    assert c.dtype == float
+    assert np.max(np.abs(expected.imag)) < 1e-15  # the complex sum is real for a Hermitian rho
+    assert np.max(np.abs(c - expected.real)) < 1e-15
+
+
+def test_beam_splitter_map_is_built_once_per_cutoff_and_read_only():
+    g = _beam_splitter_map(7)
+    assert _beam_splitter_map(7) is g
+    assert not g.flags.writeable
+    with pytest.raises(ValueError):
+        g[0, 0, 0] = 2.0
+
+
+@pytest.mark.parametrize("points", [240, 241])
+def test_grid_axis_is_exactly_antisymmetric_on_a_symmetric_range(points):
+    axis = grid_axis(-6.0, 6.0, points)
+    assert np.array_equal(axis, -axis[::-1])
+    assert np.array_equal(np.signbit(axis), np.arange(points) < points // 2)  # no -0.0 centre
+    assert np.max(np.abs(axis - np.linspace(-6.0, 6.0, points))) <= 2 * np.spacing(6.0)
+    if points % 2:
+        assert axis[points // 2] == 0.0
+
+
+@pytest.mark.parametrize("bounds", [(-5.0, 6.0, 111), (0.0, 3.0, 31), (-6.0, 5.0, 241)])
+def test_grid_axis_is_linspace_on_an_asymmetric_range(bounds):
+    assert np.array_equal(grid_axis(*bounds), np.linspace(*bounds))
+
+
+def test_default_state_tables_are_mirror_equal_on_a_symmetric_axis():
+    rho = _build_states(preset("default"))["herald_3"]
+    for theta in (0.0, math.pi / 2):
+        values = rho_quad(rho, theta, AXIS).values
+        assert np.max(np.abs(values - values[::-1, ::-1])) < 1e-15
+    sweep = marginal_sweep(rho, np.array([-90.0, -45.0, 0.0, 30.0, 90.0]), AXIS)
+    assert np.max(np.abs(sweep - sweep[:, ::-1])) < 1e-15
 
 
 def laguerre_expansion_wigner(rho, x, p):
@@ -264,13 +347,13 @@ def test_radon_projection_matches_marginal():
         for i, q in enumerate(qs):
             xs = q * math.cos(theta) - s * math.sin(theta)
             ps = q * math.sin(theta) + s * math.cos(theta)
-            proj[i] = np.trapezoid(_wigner_values(rho.elements, xs, ps), s)
+            proj[i] = np.trapezoid(laguerre_wigner(rho.elements, xs, ps), s)
         assert np.max(np.abs(pdf - proj)) < 1e-4
 
 
 def test_origin_parity_equals_wigner_origin():
     for rho in (fock_dm(0), fock_dm(1), random_dm(17, cutoff=8)):
-        assert origin_parity(rho) == pytest.approx(float(_wigner_values(rho.elements, 0.0, 0.0)), abs=1e-10)
+        assert origin_parity(rho) == pytest.approx(wigner(rho, [0.0], [0.0]).values[0, 0], abs=1e-10)
 
 
 def test_origin_parity_cat_values():

@@ -21,7 +21,7 @@ from catsim.config import (
     save_config,
 )
 from catsim.errors import ConfigError, MissingInputError, SchemaError
-from catsim.fock import load_density_matrix
+from catsim.fock import fidelity, load_density_matrix
 from catsim.phasespace import coherence_peak
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
@@ -98,6 +98,18 @@ def test_presets():
     with pytest.raises(ConfigError):
         preset("nope")
 
+
+def test_default_herald_4_at_seed_312_reconstructs_above_the_fidelity_bar(tmp_path):
+    # at MLE cutoff 15 this state reconstructed at 0.979, below report's 0.98 bar
+    cfg = preset("default").with_seed(312)
+    index = pipeline.state_names(cfg).index("herald_4")
+    rho = pipeline._build_states(cfg)["herald_4"]
+    seed = pipeline._stage_seed(312, "sample", index)
+    ds = pipeline.synth_dataset(rho, cfg.plan, seed, source_id="herald_4")
+    pipeline.save_dataset(ds, tmp_path / "herald_4.csv")
+    rho_hat, _ = pipeline.mle_reconstruct(pipeline.load_dataset(tmp_path / "herald_4.csv"), cfg.mle)
+    common = max(rho.config.cutoff, rho_hat.config.cutoff)
+    assert fidelity(rho.embed(common), rho_hat.embed(common)) >= 0.98
 
 def test_resolve_config_prefers_files(tmp_path):
     path = tmp_path / "c.ini"
@@ -435,7 +447,7 @@ def test_report_rejects_rates_without_wigner_minima(tmp_path):
 def test_single_phase_warning_reaches_report(tmp_path):
     import warnings as _warnings
 
-    from catsim.fock import load_density_matrix
+    from catsim.fock import fidelity, load_density_matrix
     from catsim.sampler import save_dataset, synth_dataset
 
     cfg = light_config()
