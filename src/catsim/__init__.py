@@ -3,32 +3,26 @@
 from .channels import (
     ExperimentParams,
     HeraldResult,
-    TwoModeState,
-    beamsplitter_join,
     count_rate_table,
     herald_probabilities,
     herald_subtract,
     input_state,
     loss_channel,
-    lossy_number_povm,
 )
 from .fock import (
     DensityMatrix,
     HilbertConfig,
     SqueezeSpec,
     StateVector,
-    apply_annihilation,
     cat_state,
     coherent_state,
     fidelity,
     load_density_matrix,
     mean_photon,
     mixed_coherent,
-    phase_rotated,
     quadrature_basis,
     save_density_matrix,
     squeezed_vacuum,
-    trace_distance,
 )
 from .phasespace import (
     CoherencePeak,
@@ -53,17 +47,13 @@ from .tes import (
     ConfusionMatrix,
     TesParams,
     adjacent_confusion_estimate,
-    classify_pulse,
     confusion,
-    pulse_trace,
 )
 from .tomography import (
     BootstrapReport,
     MleConfig,
     bootstrap,
-    log_likelihood,
     mle_reconstruct,
-    povm_projector,
 )
 
 __version__ = "0.1.0"

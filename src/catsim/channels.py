@@ -68,26 +68,11 @@ class ExperimentParams:
             raise DomainError(f"duty_cycle must be in (0, 1], got {self.duty_cycle}")
         if self.cutoff < 1 or self.idler_cutoff < 1:
             raise DomainError("cutoff and idler_cutoff must be >= 1")
+        if self.herald_n > self.idler_cutoff:
+            raise DomainError(f"herald_n {self.herald_n} exceeds idler_cutoff {self.idler_cutoff}")
 
     def with_herald(self, n: int) -> "ExperimentParams":
         return replace(self, herald_n=n)
-
-
-@dataclass(frozen=True)
-class TwoModeState:
-    """Pure two-mode state: amplitudes[s, k] on |s>_signal ⊗ |k>_idler."""
-
-    amplitudes: np.ndarray
-    signal_config: HilbertConfig
-    idler_cutoff: int
-
-    def total_photon_marginal(self) -> np.ndarray:
-        """Probability of total photon number s + k."""
-        a2 = np.abs(self.amplitudes) ** 2
-        out = np.zeros(self.signal_config.cutoff + self.idler_cutoff + 1)
-        for k in range(self.idler_cutoff + 1):
-            out[k : k + self.signal_config.dim] += a2[:, k]
-        return out
 
 
 @dataclass(frozen=True)
@@ -124,7 +109,8 @@ def loss_channel(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
 
 def _bs_amplitudes(c: np.ndarray, reflectivity: float, idler_cutoff: int) -> np.ndarray:
-    """Split signal amplitudes against a vacuum idler port.
+    """Split signal amplitudes against a vacuum idler port: out[s, k] on
+    |s>_signal ⊗ |k>_idler.
 
     |n, 0>  ->  sum_k sqrt(C(n,k)) · R^{(n-k)/2} (1-R)^{k/2} |n-k, k>,
     keeping sqrt(R) of the field in the signal output.
@@ -145,36 +131,15 @@ def _bs_amplitudes(c: np.ndarray, reflectivity: float, idler_cutoff: int) -> np.
     return out
 
 
-def beamsplitter_join(signal_in: StateVector, reflectivity: float, idler_cutoff: int) -> TwoModeState:
-    """Join the signal with a vacuum idler on a beam splitter of the given reflectivity."""
-    if not (0.0 < reflectivity <= 1.0):
-        raise DomainError(f"reflectivity must be in (0, 1], got {reflectivity}")
-    joint = signal_in.config.dim * (idler_cutoff + 1)
-    if joint > _MAX_JOINT_DIM:
-        raise TruncationBudgetError(f"joint dimension {joint} exceeds the budget {_MAX_JOINT_DIM}")
-    amps = _bs_amplitudes(np.asarray(signal_in.amplitudes), reflectivity, idler_cutoff)
-    return TwoModeState(amps, signal_in.config, idler_cutoff)
-
-
 @lru_cache(maxsize=None)
 def _povm_diagonal(n: int, eta_i: float, idler_cutoff: int) -> tuple[float, ...]:
+    """Diagonal of the POVM element for 'n photons seen by a detector of
+    efficiency eta_i': Pi_n = sum_{m>=n} C(m,n)·eta_i^n·(1-eta_i)^{m-n} |m><m|.
+    The family n = 0..idler_cutoff sums to the identity on the idler space."""
     diag = np.zeros(idler_cutoff + 1)
     for m in range(n, idler_cutoff + 1):
         diag[m] = math.comb(m, n) * eta_i**n * (1.0 - eta_i) ** (m - n)
     return tuple(diag)
-
-
-def lossy_number_povm(n: int, eta_i: float, idler_cutoff: int) -> np.ndarray:
-    """POVM element for 'n photons seen by a detector of efficiency eta_i'.
-
-    Pi_n = sum_{m>=n} C(m,n)·eta_i^n·(1-eta_i)^{m-n} |m><m|; the family sums
-    to the identity on the truncated idler space.
-    """
-    if not (0.0 <= eta_i <= 1.0):
-        raise DomainError(f"efficiency must be in [0, 1], got {eta_i}")
-    if not (0 <= n <= idler_cutoff):
-        raise DomainError(f"herald photon number {n} outside [0, {idler_cutoff}]")
-    return np.diag(_povm_diagonal(n, eta_i, idler_cutoff))
 
 
 def _tapped_branches(
@@ -207,6 +172,9 @@ def _source_branches(
     idler_cutoff: int, tail_tol: float,
 ) -> tuple[tuple[float, np.ndarray], ...]:
     config = HilbertConfig(cutoff)
+    joint = config.dim * (idler_cutoff + 1)
+    if joint > _MAX_JOINT_DIM:
+        raise TruncationBudgetError(f"joint dimension {joint} exceeds the budget {_MAX_JOINT_DIM}")
     psi = squeezed_vacuum(squeeze, config, tail_tol)
     rho = np.asarray(loss_channel(psi.to_density(), 1.0 - opa_loss).elements)
     n = np.arange(config.dim)
@@ -224,7 +192,7 @@ def _source_branches(
     branches = []
     for w, v in pure:
         signal = StateVector.normalize(v, config)
-        amps = beamsplitter_join(signal, bs_reflectivity, idler_cutoff).amplitudes
+        amps = _bs_amplitudes(np.asarray(signal.amplitudes), bs_reflectivity, idler_cutoff)
         amps.setflags(write=False)
         branches.append((w, amps))
     return tuple(branches)
@@ -251,10 +219,6 @@ def herald_subtract(params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
     before renormalization; the event rate multiplies in repetition rate and
     duty cycle.
     """
-    if params.herald_n > params.idler_cutoff:
-        raise DomainError(
-            f"herald_n {params.herald_n} exceeds idler cutoff {params.idler_cutoff}"
-        )
     branches = _tapped_branches(params, tail_tol)
     povm = np.array(_povm_diagonal(params.herald_n, params.idler_efficiency, params.idler_cutoff))
     rho_u, prob = _conditioned_signal(branches, povm)

@@ -22,7 +22,7 @@ class TruncationBudgetError(CatsimError):
 
 
 class ZeroStateError(CatsimError):
-    """Annihilation applied to the vacuum yields the zero vector."""
+    """StateVector.normalize was given the zero vector."""
 
 
 class DimensionMismatch(CatsimError, ValueError):
@@ -88,7 +88,3 @@ class NonConvergenceWarning(UserWarning):
 
 class IdentifiabilityWarning(UserWarning):
     """A dataset cannot constrain all density-matrix elements."""
-
-
-class SaturationWarning(UserWarning):
-    """A pulse height exceeds the largest resolvable photon number."""

@@ -103,19 +103,6 @@ class StateVector:
             raise ZeroStateError("cannot normalize the zero vector")
         return cls(amps / norm, config)
 
-    @property
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    @property
-    def mean_photon(self) -> float:
-        return float(np.sum(np.arange(self.config.dim) * self.probabilities))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if self.config != other.config:
-            raise DimensionMismatch("states live in different truncated spaces")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.config)
 
@@ -147,27 +134,15 @@ class DensityMatrix:
     def diagonal(self) -> np.ndarray:
         return self.elements.diagonal().real
 
-    @property
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.elements) ** 2))
-
     def embed(self, cutoff: int) -> "DensityMatrix":
         """Pad with zero rows/columns up to a larger cutoff (trace preserved)."""
         if cutoff < self.config.cutoff:
-            raise DomainError("embed target cutoff smaller than current; use truncated()")
+            raise DomainError(
+                f"embed target cutoff {cutoff} is below the current {self.config.cutoff}"
+            )
         out = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
         out[: self.config.dim, : self.config.dim] = self.elements
         return DensityMatrix(out, HilbertConfig(cutoff))
-
-    def truncated(self, cutoff: int) -> "DensityMatrix":
-        """Drop components above a smaller cutoff and renormalize the trace."""
-        if cutoff >= self.config.cutoff:
-            return self.embed(cutoff)
-        block = np.array(self.elements[: cutoff + 1, : cutoff + 1])
-        tr = np.trace(block).real
-        if tr <= 0.0:
-            raise DomainError("truncation removed all probability mass")
-        return DensityMatrix(block / tr, HilbertConfig(cutoff))
 
     def to_dict(self) -> dict:
         return {
@@ -286,22 +261,6 @@ def mixed_coherent(
     return DensityMatrix(rho, config)
 
 
-def apply_annihilation(state: StateVector) -> tuple[StateVector, float]:
-    """Apply a and renormalize; also return the pre-normalization squared norm.
-
-    The squared norm of a|psi> equals the mean photon number of the input.
-    Raises ZeroStateError on the vacuum, where a|0> = 0.
-    """
-    c = state.amplitudes
-    n = np.arange(1, state.config.dim)
-    lowered = np.zeros_like(c)
-    lowered[:-1] = np.sqrt(n) * c[1:]
-    norm2 = float(np.sum(np.abs(lowered) ** 2))
-    if norm2 < 1e-24:
-        raise ZeroStateError("annihilation of the vacuum yields the zero vector")
-    return StateVector(lowered / math.sqrt(norm2), state.config), norm2
-
-
 def mean_photon(rho: DensityMatrix) -> float:
     """Sum of n·rho_{n,n}."""
     return float(np.sum(np.arange(rho.config.dim) * rho.diagonal))
@@ -322,14 +281,6 @@ def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     f = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))) ** 2)
     return min(max(f, 0.0), 1.0)
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of the difference."""
-    if a.config != b.config:
-        raise DimensionMismatch("density matrices live in different truncated spaces")
-    vals = np.linalg.eigvalsh(a.elements - b.elements)
-    return 0.5 * float(np.sum(np.abs(vals)))
 
 
 def hermite_functions(cutoff: int, q) -> np.ndarray:
@@ -372,13 +323,3 @@ def quadrature_basis(cutoff: int, q, theta: float = 0.0) -> np.ndarray:
     """Matrix W[n, i] = <n|q_i, theta> = psi_n(q_i)·e^{i n theta}."""
     return hermite_functions(cutoff, q) * _phase_factors(theta, cutoff + 1)[0][:, None]
 
-
-def phase_rotated(rho: DensityMatrix, theta: float) -> DensityMatrix:
-    """e^{-i·theta·n} rho e^{+i·theta·n}.
-
-    Measuring the rotated state at phase 0 reproduces the quadrature
-    statistics of rho measured at phase theta.
-    """
-    u = _phase_factors(theta, rho.config.dim)[0]
-    rot = (u.conj()[:, None] * rho.elements) * u[None, :]
-    return DensityMatrix(rot, rho.config)

@@ -72,16 +72,6 @@ class WignerGrid:
     p_axis: np.ndarray
     values: np.ndarray
 
-    def riemann_integral(self) -> float:
-        dx = self.x_axis[1] - self.x_axis[0]
-        dp = self.p_axis[1] - self.p_axis[0]
-        return float(np.sum(self.values) * dx * dp)
-
-    def value_at(self, x: float, p: float) -> float:
-        i = int(np.argmin(np.abs(self.x_axis - x)))
-        j = int(np.argmin(np.abs(self.p_axis - p)))
-        return float(self.values[i, j])
-
 
 @dataclass(frozen=True)
 class QuadDensityMatrix:
@@ -90,10 +80,6 @@ class QuadDensityMatrix:
     axis: np.ndarray
     values: np.ndarray
     theta: float
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return self.values.diagonal().real
 
 
 @lru_cache(maxsize=None)

@@ -64,6 +64,8 @@ class PhasePlan:
         object.__setattr__(self, "phases_deg", tuple(float(t) for t in self.phases_deg))
         if not np.all(np.isfinite(self.phases_deg)):
             raise DomainError(f"phases_deg must be finite, got {self.phases_deg}")
+        if len(set(self.phases_deg)) < len(self.phases_deg):  # 0.0 == -0.0
+            raise DomainError(f"phases_deg repeats a phase, got {self.phases_deg}")
 
 
 @dataclass
@@ -89,30 +91,23 @@ class HomodyneDataset:
             raise SchemaError("quadrature values must be finite")
         phases = self.meta.get("phases_deg")
         counts = self.meta.get("counts_per_phase")
+        if counts is not None and len(counts) != len(phases or ()):
+            raise SchemaError(
+                f"counts_per_phase has {len(counts)} entries but phases_deg "
+                + ("is missing" if phases is None else f"has {len(phases)}")
+            )
         if phases is not None:
             declared = set(float(t) for t in phases)
             present = set(np.unique(self.theta_deg).tolist())
             if not present.issubset(declared):
                 raise SchemaError(f"records contain undeclared phases {sorted(present - declared)}")
-            if counts is not None:
-                for t, c in zip(phases, counts):
-                    actual = int(np.sum(self.theta_deg == float(t)))
-                    if actual != int(c):
-                        raise SchemaError(
-                            f"phase {t}: {actual} records but metadata declares {c}"
-                        )
+            for t, c in zip(phases, counts or ()):
+                actual = int(np.sum(self.theta_deg == float(t)))
+                if actual != int(c):
+                    raise SchemaError(f"phase {t}: {actual} records but metadata declares {c}")
 
     def __len__(self) -> int:
         return int(self.q.size)
-
-    @property
-    def phases(self) -> list[float]:
-        if "phases_deg" in self.meta:
-            return [float(t) for t in self.meta["phases_deg"]]
-        return np.unique(self.theta_deg).tolist()
-
-    def records_for(self, theta_deg: float) -> np.ndarray:
-        return self.q[self.theta_deg == float(theta_deg)]
 
 
 def _subseed(seed: int, index: int) -> int:

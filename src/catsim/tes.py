@@ -62,7 +62,6 @@ import math
 import numbers
 import operator
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -70,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export
-from .errors import DomainError, SaturationWarning
+from .errors import DomainError
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 BLOCK_TRIALS = 10_000  # pulses per seeded block (see the module docstring)
@@ -150,52 +149,12 @@ class TesParams:
         return shape
 
 
-def pulse_trace(n_photons: int, params: TesParams, seed: int | None = None) -> np.ndarray:
-    """One digitized trace for n absorbed photons; deterministic per seed."""
-    n_photons = _integer(n_photons, "photon number")
-    if n_photons < 0:
-        raise DomainError("photon number must be >= 0")
-    rng = np.random.default_rng(seed)
-    height = 0.0
-    if n_photons > 0:
-        jitter = rng.normal(0.0, params.sigma_ev / params.photon_energy_ev)
-        height = n_photons + jitter
-    trace = height * params.pulse_shape()
-    if params.noise_floor > 0:
-        trace = trace + rng.normal(0.0, params.noise_floor, params.samples_per_trace)
-    return trace
-
-
 def _heights_from_traces(traces: np.ndarray, params: TesParams) -> np.ndarray:
+    """Classified height of each trace row: its maximum minus the median of
+    its pre-onset samples, which removes the residual decay of a preceding
+    pulse."""
     baseline = np.median(traces[:, : params.onset_index], axis=1)
     return traces.max(axis=1) - baseline
-
-
-def classify_pulse(trace: np.ndarray, params: TesParams, n_max: int | None = None) -> int:
-    """Nearest-integer photon number from (peak - baseline), thresholds at half-integers.
-
-    The baseline is the median of the pre-onset samples, which removes the
-    residual decay of a preceding pulse. With n_max given, larger estimates
-    saturate at n_max with a SaturationWarning.
-    """
-    trace = np.asarray(trace, dtype=float)
-    if trace.shape != (params.samples_per_trace,):
-        raise DomainError(
-            f"trace length {trace.size} does not match samples_per_trace {params.samples_per_trace}"
-        )
-    if n_max is not None:
-        n_max = _integer(n_max, "n_max")
-        if n_max < 0:
-            raise DomainError(f"n_max must be >= 0, got {n_max}")
-    height = float(_heights_from_traces(trace[None, :], params)[0])
-    est = max(0, int(math.floor(height + 0.5)))
-    if n_max is not None and est > n_max:
-        warnings.warn(
-            f"pulse height {height:.2f} exceeds the largest resolvable number {n_max}",
-            SaturationWarning,
-        )
-        return n_max
-    return est
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,8 @@ from .errors import (
     NonConvergenceWarning,
     SingularLikelihoodError,
 )
-from .fock import DensityMatrix, HilbertConfig, _phase_factors, mean_photon, quadrature_basis
+from .fock import DensityMatrix, HilbertConfig, _phase_factors, mean_photon
+from .fock import quadrature_basis  # noqa: F401  (benchmarks/tracing.py patches this name)
 from .phasespace import _coefficients, _phi_table, _product_map, coherence_peak, origin_parity
 from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
@@ -121,14 +122,6 @@ class BootstrapReport:
                 value = value.tolist()
             out[f.name] = value._asdict() if isinstance(value, tuple) else value
         return out
-
-
-def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
-    """Rank-1 homodyne projector |q_theta><q_theta| truncated at the cutoff."""
-    if cutoff < 1:
-        raise DomainError("cutoff must be >= 1")
-    v = quadrature_basis(cutoff, np.array([q]), np.deg2rad(theta_deg))[:, 0]  # <n|q_theta>
-    return np.outer(v, v.conj())
 
 
 @dataclass(frozen=True)
@@ -240,13 +233,6 @@ def _phase_tables(
         return _PhaseTables(u, uu, amap, phi, weights, np.concatenate(index), "records"), column
     unit = "histogram bins (numbered phase by phase, ascending q)"
     return _PhaseTables(u, uu, amap, phi, weights, np.arange(weights.size), unit), column
-
-
-def log_likelihood(rho: DensityMatrix | np.ndarray, dataset: HomodyneDataset) -> float:
-    """Sum over records of ln Tr(Pi_j rho); order-independent."""
-    elements = rho.elements if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    tables, _ = _phase_tables(dataset, elements.shape[0] - 1, None)
-    return tables.log_likelihood(elements, "under the state")[1]
 
 
 def _real(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,14 @@
 """Independent reference computations that the tests compare catsim's kernels with.
 
 None of these is used by catsim itself; each reaches its result by a
-different route from the kernel it checks.
+different route from the kernel it checks, and none checks its inputs:
+  laguerre_wigner, wigner_integral_oracle   phasespace.wigner
+  beam_splitter_amplitude                   phasespace._beam_splitter_map, channels._bs_amplitudes
+  idler_loss                                channels._povm_diagonal
+  apply_annihilation                        channels.herald_subtract (single subtraction)
+  phase_rotated                             phasespace.marginal's phase factors
+  povm_projector                            tomography._PhaseTables (likelihood, R and gap)
+  trace_distance                            tomography.mle_reconstruct (large-sample limit)
 """
 
 import math
@@ -9,7 +16,7 @@ import math
 import numpy as np
 
 from catsim.errors import ConvergenceError
-from catsim.fock import DensityMatrix, quadrature_basis
+from catsim.fock import DensityMatrix, StateVector, quadrature_basis
 
 
 def laguerre_wigner(rho: np.ndarray, x, p) -> np.ndarray:
@@ -91,3 +98,44 @@ def beam_splitter_amplitude(n: int, m: int, k: int) -> float:
     s = sum(math.comb(n, j) * math.comb(m, k - j) * (-1) ** (m - k + j) for j in terms)
     ratio = math.factorial(k) * math.factorial(total - k) / (math.factorial(n) * math.factorial(m))
     return s * math.sqrt(ratio) * 2.0 ** (-total / 2)
+
+
+def idler_loss(amps: np.ndarray, eta_i: float) -> np.ndarray:
+    """rho[s, k, t, l] of the two-mode amplitudes amps[s, k] after loss eta_i
+    on the idler, by the Kraus operators K_j[m-j, m] = sqrt(C(m,j)·eta_i^{m-j}·(1-eta_i)^j).
+    Counting n idler photons ideally then leaves rho[:, n, :, n]."""
+    dim = amps.shape[1]
+    rho = np.einsum("sk,tl->sktl", amps, amps.conj())
+    out = np.zeros_like(rho)
+    for j in range(dim):
+        kraus = np.zeros((dim, dim))
+        for m in range(j, dim):
+            kraus[m - j, m] = math.sqrt(math.comb(m, j) * eta_i ** (m - j) * (1 - eta_i) ** j)
+        out += np.einsum("ab,sbtc,dc->satd", kraus, rho, kraus)
+    return out
+
+
+def apply_annihilation(state: StateVector) -> tuple[StateVector, float]:
+    """a|psi>, renormalized, and its squared norm <psi|a^†a|psi>
+    (StateVector.normalize refuses a|0> = 0)."""
+    c = state.amplitudes
+    lowered = np.append(np.sqrt(np.arange(1, c.size)) * c[1:], 0.0)
+    return StateVector.normalize(lowered, state.config), float(np.vdot(lowered, lowered).real)
+
+
+def phase_rotated(rho: DensityMatrix, theta: float) -> DensityMatrix:
+    """e^{-i·theta·n} rho e^{+i·theta·n}: measured at phase 0 it gives the
+    quadrature statistics of rho at phase theta."""
+    u = np.exp(1j * theta * np.arange(rho.config.dim))
+    return DensityMatrix(u.conj()[:, None] * rho.elements * u[None, :], rho.config)
+
+
+def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
+    """Rank-1 homodyne projector |q_theta><q_theta| truncated at the cutoff."""
+    v = quadrature_basis(cutoff, np.array([q]), np.deg2rad(theta_deg))[:, 0]
+    return np.outer(v, v.conj())
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the trace norm of a - b."""
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.elements - b.elements))))

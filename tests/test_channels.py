@@ -4,19 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from catsim import channels
 from catsim.channels import (
     ExperimentParams,
+    _bs_amplitudes,
+    _povm_diagonal,
     _tapped_branches,
-    beamsplitter_join,
     count_rate_table,
     herald_probabilities,
     herald_subtract,
     input_state,
     loss_channel,
-    lossy_number_povm,
 )
 from catsim.config import RunConfig
 from catsim.errors import DomainError, TruncationBudgetError, ZeroProbabilityError
@@ -29,8 +31,10 @@ from catsim.fock import (
     fidelity,
     squeezed_vacuum,
 )
+from oracles import apply_annihilation, beam_splitter_amplitude, idler_loss
 
 PAPER = ExperimentParams()
+UNIT = st.floats(0.0, 1.0)
 
 
 def fock_state(n, cfg):
@@ -115,12 +119,12 @@ def test_loss_trace_preserving():
         assert np.trace(out.elements).real == pytest.approx(1.0, abs=1e-10)
 
 
-def test_loss_composition_identity():
-    cfg = HilbertConfig(12)
-    sv = squeezed_vacuum(SqueezeSpec(0.5), cfg, tail_tol=1e-3)
-    rho = sv.to_density()
-    a = loss_channel(loss_channel(rho, 0.8), 0.55)
-    b = loss_channel(rho, 0.8 * 0.55)
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, 0.8), eta1=UNIT, eta2=UNIT)
+def test_loss_composition_identity(r, eta1, eta2):
+    rho = squeezed_vacuum(SqueezeSpec(r), HilbertConfig(12), tail_tol=1e-2).to_density()
+    a = loss_channel(loss_channel(rho, eta1), eta2)
+    b = loss_channel(rho, eta1 * eta2)
     assert np.max(np.abs(a.elements - b.elements)) < 1e-10
 
 
@@ -134,73 +138,85 @@ def test_loss_rejects_bad_eta():
 # ---------------------------------------------------------------- beam splitter
 
 
+def split(state, reflectivity, idler_cutoff):
+    return _bs_amplitudes(np.asarray(state.amplitudes), reflectivity, idler_cutoff)
+
+
 def test_beamsplitter_full_reflection():
     cfg = HilbertConfig(6)
     sv = squeezed_vacuum(SqueezeSpec(0.2), cfg, tail_tol=1e-3)
-    tm = beamsplitter_join(sv, 1.0, idler_cutoff=4)
-    assert np.allclose(tm.amplitudes[:, 0], sv.amplitudes)
-    assert np.all(tm.amplitudes[:, 1:] == 0)
+    amps = split(sv, 1.0, 4)
+    assert np.allclose(amps[:, 0], sv.amplitudes)
+    assert np.all(amps[:, 1:] == 0)
 
 
 def test_beamsplitter_single_photon_split():
-    cfg = HilbertConfig(3)
-    tm = beamsplitter_join(fock_state(1, cfg), 0.81, idler_cutoff=3)
-    probs = np.abs(tm.amplitudes) ** 2
+    probs = np.abs(split(fock_state(1, HilbertConfig(3)), 0.81, 3)) ** 2
     assert probs[1, 0] == pytest.approx(0.81, abs=1e-14)
     assert probs[0, 1] == pytest.approx(0.19, abs=1e-14)
+
+
+def test_beamsplitter_matches_the_50_50_oracle():
+    # |n, 0> -> sum_s <s, n-s| BS |n, 0> |s, n-s>, the signal keeping s photons
+    for n in range(11):
+        amps = split(fock_state(n, HilbertConfig(10)), 0.5, 10)
+        want = np.zeros(amps.shape)
+        for s in range(n + 1):
+            want[s, n - s] = beam_splitter_amplitude(n, 0, s)
+        assert np.max(np.abs(amps - want)) < 1e-14
 
 
 def test_beamsplitter_conserves_total_photon_number():
     cfg = HilbertConfig(8)
     sv = squeezed_vacuum(SqueezeSpec(0.4), cfg, tail_tol=1e-3)
     for refl in (0.3, 0.81, 0.97):
-        tm = beamsplitter_join(sv, refl, idler_cutoff=8)
-        marg = tm.total_photon_marginal()[: cfg.dim]
+        amps = split(sv, refl, 8)
+        total = np.add.outer(np.arange(cfg.dim), np.arange(9)).ravel()
+        marg = np.bincount(total, (np.abs(amps) ** 2).ravel())[: cfg.dim]
         assert np.max(np.abs(marg - np.abs(sv.amplitudes) ** 2)) < 1e-10
 
 
 def test_beamsplitter_budget():
-    cfg = HilbertConfig(30)
-    sv = squeezed_vacuum(SqueezeSpec(0.3), cfg)
     with pytest.raises(TruncationBudgetError):
-        beamsplitter_join(sv, 0.8, idler_cutoff=200)  # 31 x 201 amplitudes
+        herald_subtract(replace(PAPER, idler_cutoff=200))  # 31 x 201 amplitudes
 
 
 # ---------------------------------------------------------------- POVM
 
 
+def povm(n, eta_i, idler_cutoff):
+    return np.array(_povm_diagonal(n, eta_i, idler_cutoff))
+
+
 def test_povm_perfect_detector():
     for n in range(3):
-        pi_n = lossy_number_povm(n, 1.0, 6)
-        want = np.zeros((7, 7))
-        want[n, n] = 1.0
-        assert np.allclose(pi_n, want)
+        assert np.array_equal(povm(n, 1.0, 6), np.eye(7)[n])
 
 
 def test_povm_binomial_table():
-    pi_0 = lossy_number_povm(0, 0.4, 6)
-    assert np.allclose(np.diag(pi_0)[:4], [1.0, 0.6, 0.36, 0.216], atol=1e-14)
-    pi_1 = lossy_number_povm(1, 0.4, 6)
+    assert np.allclose(povm(0, 0.4, 6)[:4], [1.0, 0.6, 0.36, 0.216], atol=1e-14)
+    pi_1 = povm(1, 0.4, 6)
     # C(m,1)·0.4·0.6^{m-1}
-    assert np.diag(pi_1)[1] == pytest.approx(0.4)
-    assert np.diag(pi_1)[2] == pytest.approx(2 * 0.4 * 0.6)
-    assert np.diag(pi_1)[3] == pytest.approx(3 * 0.4 * 0.36)
+    assert pi_1[1] == pytest.approx(0.4)
+    assert pi_1[2] == pytest.approx(2 * 0.4 * 0.6)
+    assert pi_1[3] == pytest.approx(3 * 0.4 * 0.36)
 
 
-def test_povm_completeness():
-    for eta in (0.17, 0.4, 1.0):
-        total = sum(lossy_number_povm(n, eta, 10) for n in range(11))
-        assert np.max(np.abs(total - np.eye(11))) < 1e-12
+@given(eta=UNIT, idler_cutoff=st.integers(1, 40))
+def test_povm_completeness(eta, idler_cutoff):
+    total = sum(povm(n, eta, idler_cutoff) for n in range(idler_cutoff + 1))
+    assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_povm_bounds_and_errors():
-    pi_2 = lossy_number_povm(2, 0.4, 8)
-    d = np.diag(pi_2)
+    d = povm(2, 0.4, 8)
     assert np.all(d >= 0) and np.all(d <= 1)
-    with pytest.raises(DomainError):
-        lossy_number_povm(9, 0.4, 8)
-    with pytest.raises(DomainError):
-        lossy_number_povm(1, 1.4, 8)
+    # herald number and efficiency are checked once, where the parameters are made
+    ExperimentParams(herald_n=8, idler_cutoff=8)
+    with pytest.raises(DomainError, match="herald_n 9 exceeds idler_cutoff 8"):
+        ExperimentParams(herald_n=9, idler_cutoff=8)
+    with pytest.raises(DomainError, match="idler_efficiency"):
+        ExperimentParams(idler_efficiency=1.4)
 
 
 # ---------------------------------------------------------------- heralding
@@ -267,8 +283,6 @@ def test_herald_lossless_single_subtraction_oracles():
 
     # oracle 2: annihilation applied to the re-squeezed signal-arm state,
     # tanh r' = R tanh r
-    from catsim.fock import apply_annihilation
-
     r_eff = math.atanh(refl * math.tanh(r))
     resq = squeezed_vacuum(SqueezeSpec(r_eff), cfg, tail_tol=1e-4)
     sub, _ = apply_annihilation(resq)
@@ -314,17 +328,16 @@ def full_eigh_herald(params):
     source = loss_channel(squeezed_vacuum(params.squeeze, cfg).to_density(), 1.0 - params.opa_loss)
     vals, vecs = np.linalg.eigh(np.asarray(source.elements))
     branches = [
-        (w, beamsplitter_join(StateVector.normalize(v, cfg), params.bs_reflectivity,
-                              params.idler_cutoff).amplitudes)
+        (w, split(StateVector.normalize(v, cfg), params.bs_reflectivity, params.idler_cutoff))
         for w, v in zip(vals, vecs.T)
         if w >= 1e-15
     ]
     idler = sum(w * np.sum(np.abs(a) ** 2, axis=0) for w, a in branches)
     states, probs = [], []
     for n in range(params.idler_cutoff + 1):
-        povm = np.diag(lossy_number_povm(n, params.idler_efficiency, params.idler_cutoff))
-        probs.append(float(povm @ idler))
-        rho_u = sum(w * (a * povm) @ a.conj().T for w, a in branches)
+        pi_n = povm(n, params.idler_efficiency, params.idler_cutoff)
+        probs.append(float(pi_n @ idler))
+        rho_u = sum(w * (a * pi_n) @ a.conj().T for w, a in branches)
         prob = np.trace(rho_u).real
         if prob > 1e-300:
             rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, cfg)
@@ -357,38 +370,15 @@ def test_source_coupling_parities_is_refused(monkeypatch):
         herald_subtract(PAPER.with_herald(1))
 
 
-def two_mode_density(amps):
-    flat = amps.reshape(-1)
-    return np.outer(flat, flat.conj()).reshape(
-        amps.shape[0], amps.shape[1], amps.shape[0], amps.shape[1]
-    )
-
-
 def test_povm_equals_idler_loss_channel():
     # brute force at cutoff 8: idler loss as a Kraus channel then an ideal
     # |n><n| projection must equal the deformed-POVM shortcut
-    cfg = HilbertConfig(8)
-    idler_cut = 8
-    eta_i = 0.4
-    sv = squeezed_vacuum(SqueezeSpec(0.4), cfg, tail_tol=1e-3)
-    tm = beamsplitter_join(sv, 0.8, idler_cutoff=idler_cut)
-    rho2 = two_mode_density(np.asarray(tm.amplitudes))
-
-    kraus = []
-    for k in range(idler_cut + 1):
-        m = np.zeros((idler_cut + 1, idler_cut + 1))
-        for mm in range(k, idler_cut + 1):
-            m[mm - k, mm] = math.sqrt(math.comb(mm, k) * eta_i ** (mm - k) * (1 - eta_i) ** k)
-        kraus.append(m)
-    lossy = np.zeros_like(rho2)
-    for m in kraus:
-        lossy += np.einsum("ab,sbtc,dc->satd", m, rho2, m.conj())
-
+    sv = squeezed_vacuum(SqueezeSpec(0.4), HilbertConfig(8), tail_tol=1e-3)
+    amps = split(sv, 0.8, 8)
+    lossy = idler_loss(amps, 0.4)
     for n in range(4):
-        channel_route = lossy[:, n, :, n]
-        povm = np.diag(lossy_number_povm(n, eta_i, idler_cut))
-        povm_route = np.einsum("sktl,k,kl->st", rho2, povm, np.eye(idler_cut + 1))
-        assert np.max(np.abs(channel_route - povm_route)) < 1e-10
+        povm_route = (amps * povm(n, 0.4, 8)) @ amps.conj().T
+        assert np.max(np.abs(lossy[:, n, :, n] - povm_route)) < 1e-10
 
 
 def test_bs_phase_convention_independence():
@@ -494,3 +484,23 @@ def test_tapped_branches_are_built_once_per_source_and_tap():
     branches = _tapped_branches(PAPER)
     assert all(not amps.flags.writeable for _, amps in branches)
     assert _tapped_branches(replace(PAPER, bs_reflectivity=0.8)) is not branches
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    db=st.floats(1.0, 7.0), opa_loss=st.floats(0.0, 0.9), reflectivity=st.floats(0.5, 0.95),
+    idler_efficiency=st.floats(0.05, 1.0), signal_efficiency=UNIT,
+    idler_cutoff=st.integers(4, 12), herald_n=st.integers(0, 4),
+)
+def test_herald_state_is_a_state_over_random_params(
+    db, opa_loss, reflectivity, idler_efficiency, signal_efficiency, idler_cutoff, herald_n
+):
+    params = ExperimentParams(
+        squeeze=SqueezeSpec.from_db(db), opa_loss=opa_loss, bs_reflectivity=reflectivity,
+        idler_efficiency=idler_efficiency, signal_efficiency=signal_efficiency,
+        herald_n=herald_n, cutoff=40, idler_cutoff=idler_cutoff,
+    )
+    rho = np.asarray(herald_subtract(params).state.elements)
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho).real - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho)[0] > -1e-12

@@ -39,7 +39,7 @@ BOUNDS = st.tuples(FINITE, FINITE).filter(lambda b: b[0] < b[1])
 CONFIGS = st.builds(
     RunConfig,
     experiment=st.builds(
-        ExperimentParams,
+        dict,
         squeeze=st.floats(0.0, 30.0).map(SqueezeSpec.from_db) | SQUEEZE_R.map(SqueezeSpec),
         opa_loss=UNIT,
         bs_reflectivity=st.floats(0.0, 1.0, exclude_min=True),
@@ -50,10 +50,12 @@ CONFIGS = st.builds(
         duty_cycle=st.floats(0.0, 1.0, exclude_min=True),
         cutoff=st.integers(1, 200),
         idler_cutoff=st.integers(1, 50),
-    ),
+    )
+    .filter(lambda kw: kw["herald_n"] <= kw["idler_cutoff"])
+    .map(lambda kw: ExperimentParams(**kw)),
     plan=st.builds(
         PhasePlan,
-        phases_deg=st.lists(FINITE, min_size=1, max_size=8).map(tuple),
+        phases_deg=st.lists(FINITE, min_size=1, max_size=8, unique=True).map(tuple),
         samples_per_phase=st.integers(1, 10**9),
     ),
     mle=st.builds(
@@ -169,6 +171,9 @@ def test_only_cat_and_two_run_keys_may_be_missing(name):
         ("squeeze_db", "nan", "squeezing level"),
         ("phases_deg", "0.0, nan", "phases_deg must be finite"),
         ("phases_deg", "0.0, inf", "phases_deg must be finite"),
+        ("phases_deg", "0.0, 0.0, 90.0", "phases_deg repeats a phase"),
+        ("phases_deg", "0.0, 90.0, -0.0", "phases_deg repeats a phase"),
+        ("herald_n", "13", "herald_n 13 exceeds idler_cutoff 12"),
     ],
 )
 def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, value, message):
@@ -179,3 +184,4 @@ def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, v
     path.write_text(text)
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before anything is written

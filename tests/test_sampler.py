@@ -19,7 +19,6 @@ from catsim.fock import (
     StateVector,
     cat_state,
     coherent_state,
-    phase_rotated,
     quadrature_basis,
     squeezed_vacuum,
 )
@@ -35,6 +34,7 @@ from catsim.sampler import (
     save_dataset,
     synth_dataset,
 )
+from oracles import phase_rotated
 
 CFG = HilbertConfig(30)
 
@@ -125,8 +125,7 @@ def test_subseed_independence():
     rho = squeezed_vacuum(SqueezeSpec(0.5), CFG).to_density()
     plan = PhasePlan(phases_deg=(0.0, 90.0), samples_per_phase=100_000)
     ds = synth_dataset(rho, plan, seed=9)
-    a = ds.records_for(0.0)
-    b = ds.records_for(90.0)
+    a, b = ds.q.reshape(2, -1)  # the 0 and 90 degree records
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 0.01
 
@@ -137,7 +136,7 @@ def test_synth_dataset_draws_equal_sample_phase_per_phase():
     ds = synth_dataset(rho, plan, seed=41)
     for i, theta in enumerate(plan.phases_deg):
         alone = sample_phase(rho, theta, plan.samples_per_phase, _subseed(41, i))
-        assert np.max(np.abs(ds.records_for(theta) - alone)) < 1e-12
+        assert np.max(np.abs(ds.q[ds.theta_deg == theta] - alone)) < 1e-12
 
 
 def test_synth_dataset_single_record():
@@ -154,7 +153,7 @@ def test_synth_dataset_chi_squared_against_exact_marginal():
     ds = synth_dataset(rho, plan, seed=33, source_id="herald_2")
     grid = np.linspace(-8, 8, 8001)
     for theta in plan.phases_deg:
-        draws = ds.records_for(theta)
+        draws = ds.q[ds.theta_deg == theta]
         edges = np.linspace(-5.0, 5.0, 26)
         observed, _ = np.histogram(draws, bins=edges)
         cdf = exact_cdf(rho, theta, grid)
@@ -408,6 +407,22 @@ def test_load_dataset_reads_as_the_line_reader(tmp_path_factory, head, header, b
     assert got.q.tobytes() == want.q.tobytes()
     assert got.theta_deg.dtype == want.theta_deg.dtype and got.q.shape == want.q.shape
     assert repr(got.meta) == repr(want.meta)
+
+
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ("#phases_deg=0.0,90.0\n#counts_per_phase=1\n", "has 1 entries but phases_deg has 2"),
+        ("#phases_deg=0.0,90.0,45.0\n#counts_per_phase=1,1\n", "has 2 entries but phases_deg has 3"),
+        ("#counts_per_phase=1,1\n", "counts_per_phase has 2 entries but phases_deg is missing"),
+    ],
+)
+def test_counts_per_phase_must_pair_with_phases_deg(tmp_path, meta, message):
+    path = tmp_path / "data.csv"
+    path.write_text(meta + "theta_deg,q\n0.0,0.5\n90.0,0.4\n")
+    for reader in (load_dataset, load_dataset_line_by_line):
+        with pytest.raises(SchemaError, match=message):
+            reader(path)
 
 
 def test_load_dataset_reads_a_pipeline_file_as_the_line_reader(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 from catsim import tes
-from catsim.errors import DomainError, SaturationWarning
+from catsim.errors import DomainError
 from catsim.tes import (
     BLOCK_TRIALS,
     PEAK_WINDOW_SIGMAS,
@@ -18,9 +18,7 @@ from catsim.tes import (
     _heights_from_traces,
     _peak_window,
     adjacent_confusion_estimate,
-    classify_pulse,
     confusion,
-    pulse_trace,
 )
 
 DEFAULTS = TesParams()
@@ -76,16 +74,6 @@ def test_params_accept_numpy_scalars():
     assert params.pulse_shape().shape == (200,)
 
 
-@pytest.mark.parametrize("n", [1.5, 2.0, "2", True, None])
-def test_pulse_trace_refuses_non_integer_photon_numbers(n):
-    with pytest.raises(DomainError, match="photon number"):
-        pulse_trace(n, DEFAULTS, seed=0)
-
-
-def test_pulse_trace_accepts_numpy_integers():
-    assert pulse_trace(np.int64(3), DEFAULTS, seed=5).tobytes() == pulse_trace(3, DEFAULTS, seed=5).tobytes()
-
-
 def test_sigma_interpretation_flag():
     # energy_resolution_ev is a FWHM
     sigma = 0.176 / (2 * math.sqrt(2 * math.log(2)))
@@ -93,18 +81,21 @@ def test_sigma_interpretation_flag():
 
 
 def test_zero_photon_quiet_trace_is_zero():
-    trace = pulse_trace(0, QUIET, seed=1)
-    assert np.all(trace == 0.0)
+    # the unit pulse peaks at exactly 1.0 over pre-onset samples of exactly 0
+    shape = QUIET.pulse_shape()
+    assert shape.max() == 1.0 and np.all(shape[: QUIET.onset_index] == 0.0)
+    cm = confusion(QUIET, n_max=2, trials=3000, seed=1)
+    assert np.array_equal(cm.matrix[0], [1.0, 0.0, 0.0])
 
 
 def test_exponential_decay_with_instant_rise():
     params = TesParams(rise_tau_ns=0.0, noise_floor=0.0, energy_resolution_ev=1e-9)
-    trace = pulse_trace(1, params, seed=0)
+    shape = params.pulse_shape()
     onset = params.onset_index
     # decay_tau = 107 ns is an exact number of 0.5 ns samples
     steps = int(round(params.decay_tau_ns / params.dt_ns))
-    assert trace[onset] == pytest.approx(1.0, rel=1e-9)
-    assert trace[onset + steps] == pytest.approx(math.exp(-1.0), rel=1e-9)
+    assert shape[onset] == 1.0
+    assert shape[onset + steps] == pytest.approx(math.exp(-1.0), rel=1e-9)
 
 
 def test_residual_after_one_repetition_period():
@@ -116,59 +107,54 @@ def test_residual_after_one_repetition_period():
     assert shape[-1] == pytest.approx(math.exp(-t_after_peak / 107.0), rel=1e-9)
 
 
+def classified(traces, params=DEFAULTS, n_max=10):
+    """The confusion estimator's class of each trace row."""
+    return _classes(_heights_from_traces(np.atleast_2d(traces), params), n_max)
+
+
 def test_classify_clean_pulses():
-    params = TesParams(noise_floor=0.0, energy_resolution_ev=1e-9)
-    for n in range(7):
-        assert classify_pulse(pulse_trace(n, params, seed=n), params) == n
+    shape = QUIET.pulse_shape()
+    assert classified(np.arange(7)[:, None] * shape, QUIET).tolist() == list(range(7))
 
 
 def test_classify_zero_trace():
-    assert classify_pulse(np.zeros(DEFAULTS.samples_per_trace), DEFAULTS) == 0
+    assert classified(np.zeros(DEFAULTS.samples_per_trace)).tolist() == [0]
 
 
 def test_classify_noisy_n3():
-    trace = pulse_trace(3, DEFAULTS, seed=42)
-    assert classify_pulse(trace, DEFAULTS) == 3
+    rng = np.random.default_rng(42)
+    shape = DEFAULTS.pulse_shape()
+    height = 3 + rng.normal(0.0, DEFAULTS.sigma_ev / DEFAULTS.photon_energy_ev)
+    assert classified(height * shape + rng.normal(0.0, DEFAULTS.noise_floor, shape.size)).tolist() == [3]
 
 
-def test_classify_length_mismatch():
-    with pytest.raises(DomainError):
-        classify_pulse(np.zeros(10), DEFAULTS)
-
-
-def test_saturation_warning():
-    params = TesParams(noise_floor=0.0, energy_resolution_ev=1e-9)
-    trace = pulse_trace(6, params, seed=0)
-    with pytest.warns(SaturationWarning):
-        assert classify_pulse(trace, params, n_max=4) == 4
+def test_classes_saturate_at_n_max():
+    heights = np.array([-0.7, 0.49, 3.5, 4.49, 6.0, 1e9])
+    assert _classes(heights, 4).tolist() == [0, 0, 4, 4, 4, 4]
 
 
 @pytest.mark.parametrize("n_max", [2.5, 4.0, "4", True, -1])
 def test_classify_refuses_bad_n_max(n_max):
-    trace = pulse_trace(3, DEFAULTS, seed=1)
+    # confusion is where pulses are classified, and where n_max is checked
     with pytest.raises(DomainError, match="n_max"):
-        classify_pulse(trace, DEFAULTS, n_max=n_max)
+        confusion(DEFAULTS, n_max, 3000, seed=0)
 
 
 def test_classify_accepts_numpy_integer_n_max():
-    params = TesParams(noise_floor=0.0, energy_resolution_ev=1e-9)
-    with pytest.warns(SaturationWarning):
-        est = classify_pulse(pulse_trace(6, params, seed=0), params, n_max=np.int64(4))
-    assert est == 4 and type(est) is int
+    cm = confusion(QUIET, np.int64(4), 5000, seed=0)
+    assert cm.n_max == 4 and type(cm.n_max) is int
 
 
 def test_pileup_baseline_subtraction():
     # a preceding n=4 pulse leaves a decaying residual across the next window;
     # the pre-onset baseline removes the bias for all n <= 4
-    params = TesParams(noise_floor=0.0, energy_resolution_ev=1e-9)
+    params = QUIET
     shape = params.pulse_shape()
     t = np.arange(params.samples_per_trace) * params.dt_ns
     t_peak = params.onset_index * params.dt_ns
     residual = 4.0 * np.exp(-(t + params.rep_period_ns - t_peak) / params.decay_tau_ns)
     assert residual[0] == pytest.approx(4.0 * math.exp(-200.0 / 107.0) * math.exp(t_peak / 107.0), rel=1e-9)
-    for n in range(5):
-        piled = n * shape + residual
-        assert classify_pulse(piled, params) == n
+    assert classified(np.arange(5)[:, None] * shape + residual, params).tolist() == list(range(5))
 
 
 def test_confusion_identity_at_tiny_resolution():
@@ -246,12 +232,6 @@ def test_confusion_matrix_validation_and_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "true\\assigned,0,1,2"
     assert len(lines) == 4
-
-
-def test_trace_determinism():
-    a = pulse_trace(3, DEFAULTS, seed=5)
-    b = pulse_trace(3, DEFAULTS, seed=5)
-    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])

@@ -24,7 +24,6 @@ from catsim.fock import (
     fidelity,
     quadrature_basis,
     squeezed_vacuum,
-    trace_distance,
 )
 from catsim.phasespace import _phi_table, _product_map, marginal, marginal_sweep, origin_parity
 from catsim.sampler import HomodyneDataset, PhasePlan, synth_dataset
@@ -33,10 +32,9 @@ from catsim.tomography import (
     MleConfig,
     _phase_tables,
     bootstrap,
-    log_likelihood,
     mle_reconstruct,
-    povm_projector,
 )
+from oracles import povm_projector, trace_distance
 
 CFG30 = HilbertConfig(30)
 
@@ -72,8 +70,6 @@ def test_povm_projector_reference_elements():
 
 
 def test_povm_projector_trace_matches_direct_sum():
-    from catsim.fock import quadrature_basis
-
     for theta, q in ((0.0, 0.3), (37.0, -1.2), (90.0, 2.0)):
         pi = povm_projector(theta, q, 20)
         direct = np.sum(np.abs(quadrature_basis(20, q, math.radians(theta))) ** 2)
@@ -89,6 +85,13 @@ def test_povm_projector_is_rank_one_psd():
 
 
 # ---------------------------------------------------------------- likelihood
+
+
+def log_likelihood(rho, dataset):
+    """The kernel's sum of ln p_j over the records, one table column per record."""
+    elements = np.asarray(getattr(rho, "elements", rho))
+    tables, _ = _phase_tables(dataset, elements.shape[0] - 1, None)
+    return tables.log_likelihood(elements, "under the state")[1]
 
 
 def test_log_likelihood_single_record_maximally_mixed():
@@ -332,7 +335,7 @@ def complex_rrr(dataset, cutoff, tolerance, max_iterations):
     `tolerance` relative to its size."""
     phases = np.unique(dataset.theta_deg)
     w = np.vstack([
-        quadrature_basis(cutoff, dataset.records_for(t), np.deg2rad(t)).T for t in phases
+        quadrature_basis(cutoff, dataset.q[dataset.theta_deg == t], np.deg2rad(t)).T for t in phases
     ])
     dim = cutoff + 1
     rho = np.eye(dim, dtype=complex) / dim
@@ -440,13 +443,12 @@ def test_reconstruction_marginals_pass_ks(herald2_dataset, herald2_recon):
     rho_hat, _ = herald2_recon
     q = np.linspace(-8, 8, 8001)
     dq = q[1] - q[0]
-    for theta in herald2_dataset.phases:
+    for theta in herald2_dataset.meta["phases_deg"]:
         pdf = np.clip(marginal(rho_hat, math.radians(theta), q), 0, None)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dq)))
         cdf /= cdf[-1]
-        stat = stats.kstest(
-            herald2_dataset.records_for(theta), lambda x: np.interp(x, q, cdf)
-        ).statistic
+        draws = herald2_dataset.q[herald2_dataset.theta_deg == theta]
+        stat = stats.kstest(draws, lambda x: np.interp(x, q, cdf)).statistic
         assert stat < 0.02
 
 
