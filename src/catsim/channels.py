@@ -70,6 +70,12 @@ class ExperimentParams:
             raise DomainError("cutoff and idler_cutoff must be >= 1")
         if self.herald_n > self.idler_cutoff:
             raise DomainError(f"herald_n {self.herald_n} exceeds idler_cutoff {self.idler_cutoff}")
+        joint = (self.cutoff + 1) * (self.idler_cutoff + 1)
+        if joint > _MAX_JOINT_DIM:
+            raise TruncationBudgetError(
+                f"joint dimension {joint} of cutoff {self.cutoff} and idler_cutoff "
+                f"{self.idler_cutoff} exceeds the budget {_MAX_JOINT_DIM}"
+            )
 
     def with_herald(self, n: int) -> "ExperimentParams":
         return replace(self, herald_n=n)
@@ -172,9 +178,6 @@ def _source_branches(
     idler_cutoff: int, tail_tol: float,
 ) -> tuple[tuple[float, np.ndarray], ...]:
     config = HilbertConfig(cutoff)
-    joint = config.dim * (idler_cutoff + 1)
-    if joint > _MAX_JOINT_DIM:
-        raise TruncationBudgetError(f"joint dimension {joint} exceeds the budget {_MAX_JOINT_DIM}")
     psi = squeezed_vacuum(squeeze, config, tail_tol)
     rho = np.asarray(loss_channel(psi.to_density(), 1.0 - opa_loss).elements)
     n = np.arange(config.dim)

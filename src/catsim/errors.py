@@ -17,7 +17,7 @@ class TruncationError(CatsimError):
         self.tail = tail
 
 
-class TruncationBudgetError(CatsimError):
+class TruncationBudgetError(DomainError):
     """A joint two-mode dimension exceeds the configured budget."""
 
 

@@ -4,13 +4,18 @@ homodyne records, with stratified-bootstrap error bars.
 The estimator maximizes LL(rho) = sum_j w_j ln Tr(Pi_j rho), where Pi_j is
 the rank-1 projector onto the truncated quadrature eigenvector of record j.
 It runs L-BFGS on a complex factor A with rho = A A^†/Tr(A A^†), so every
-iterate is a state. The start is A = I/sqrt(dim), the maximally mixed
-state. With R(rho) = sum_j w_j Pi_j / Tr(Pi_j rho) and N = sum_j w_j, the
-gradient of -LL/N in A is -2 (R - N·I) A / (N·Tr(A A^†)). LL is concave
-in rho, so g = lambda_max(R) - N bounds LL* - LL(rho) from above (Glancy,
-Knill and Girard, NJP 14, 095017, 2012). The iteration stops once g is at
-most the configured gap tolerance. No efficiency or loss compensation of
-any kind is applied.
+iterate is a state. A binned fit starts from A = I/sqrt(dim), the maximally
+mixed state. A pointwise fit (one projector per record) starts from the
+factor of a binned fit of the same records, with bins _PREFIT_BIN_WIDTH
+wide: a binned iteration costs about a twelfth of a pointwise one and brings
+the fit most of the way. If that pre-fit fails, or leaves a record with a
+vanishing probability, the pointwise fit starts from I/sqrt(dim). With
+R(rho) = sum_j w_j Pi_j / Tr(Pi_j rho) and N = sum_j w_j, the gradient of
+-LL/N in A is -2 (R - N·I) A / (N·Tr(A A^†)). LL is concave in rho, so
+g = lambda_max(R) - N bounds LL* - LL(rho) from above (Glancy, Knill and
+Girard, NJP 14, 095017, 2012). The iteration stops once g is at most the
+configured gap tolerance. No efficiency or loss compensation of any kind
+is applied.
 
 The kernel works in real arithmetic on the product basis of
 catsim.phasespace: <n|q,theta> = psi_n(q)·u_n with u = e^{i n theta}
@@ -50,7 +55,14 @@ from .errors import (
 )
 from .fock import DensityMatrix, HilbertConfig, _phase_factors, mean_photon
 from .fock import quadrature_basis  # noqa: F401  (benchmarks/tracing.py patches this name)
-from .phasespace import _coefficients, _phi_table, _product_map, coherence_peak, origin_parity
+from .phasespace import (
+    _coefficients,
+    _phase_table,
+    _phi_table,
+    _product_map,
+    coherence_peak,
+    origin_parity,
+)
 from .sampler import SHOT_NOISE_VARIANCE, HomodyneDataset
 
 _PROB_FLOOR = 1e-290
@@ -59,6 +71,9 @@ _LBFGS_PAIRS = 10  # (s, y) pairs kept by the two-loop recursion
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 _MAX_BACKTRACKS = 60  # halvings of the step before the line search gives up
 _LL_RESOLUTION = 1e-12  # a gain below this fraction of |LL| may be round-off
+# Bin width, in vacuum units, of the binned pre-fit that starts a pointwise
+# fit: of 0.02, 0.05 and 0.1, 0.05 gave the fastest pointwise fits (BENCH_22.json).
+_PREFIT_BIN_WIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -69,6 +84,8 @@ class MleConfig:
     histograms records per phase and weights bin-center projectors by their
     counts, trading a little resolution for a large speedup. The iteration
     stops once the certified likelihood gap is at most gap_tolerance nats.
+    A pointwise fit starts from a binned pre-fit of the same records, run
+    with the same cutoff, max_iterations and gap_tolerance.
     """
 
     cutoff: int = 15
@@ -136,8 +153,7 @@ class _PhaseTables:
     of `phi`. At 60k records and cutoff 15 the phi tables hold 14.2 MB.
     """
 
-    u: np.ndarray  # e^{i n theta}, shape (phases, dim)
-    uu: np.ndarray  # u u^†, the phase factor of R, shape (phases, dim, dim)
+    phases: np.ndarray  # conj(u_n)·u_m, u = e^{i n theta}, shape (phases, dim, dim)
     amap: np.ndarray  # A[k, n·dim + m], shape (2·cutoff + 1, dim^2)
     phi: list[np.ndarray]  # real phi_k(q_j), shape (2·cutoff + 1, rows), per phase
     weights: np.ndarray  # records counted per column: 1 per record, or per bin
@@ -146,17 +162,17 @@ class _PhaseTables:
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """p = (A·Re(U^† rho U))^T Phi: one small GEMM, then one GEMV per phase."""
-        b = _coefficients(rho, self.u)
+        b = _coefficients(rho, self.phases)
         return np.concatenate([bk @ phi for bk, phi in zip(b, self.phi)])
 
     def r_operator(self, p: np.ndarray) -> np.ndarray:
-        """R = sum_theta UU^† ∘ (A^T·Phi_theta(w/p)): one GEMV per phase,
-        then one small GEMM and one broadcast product."""
+        """R = sum_theta conj(phases_theta) ∘ (A^T·Phi_theta(w/p)): one GEMV
+        per phase, then one small GEMM and one broadcast product."""
         c = self.weights / p
         ends = np.cumsum([phi.shape[1] for phi in self.phi])
         moments = np.stack([phi @ c[stop - phi.shape[1] : stop] for phi, stop in zip(self.phi, ends)])
-        g = (moments @ self.amap).reshape(self.uu.shape)
-        return np.einsum("tnm,tnm->nm", self.uu, g)
+        g = (moments @ self.amap).reshape(self.phases.shape)
+        return np.einsum("tnm,tnm->nm", self.phases, g).conj()
 
     def log_likelihood(self, rho: np.ndarray, when: str) -> tuple[np.ndarray, float]:
         """Probabilities and sum_j w_j ln p_j; a vanishing p_j is an error."""
@@ -180,7 +196,7 @@ class _PhaseTables:
         ends = np.cumsum([phi.shape[1] for phi in self.phi])[:-1]
         phi = [phi[:, k] for phi, k in zip(self.phi, np.split(keep, ends))]
         return _PhaseTables(
-            self.u, self.uu, self.amap, phi, weights[keep], self.index[keep], self.unit
+            self.phases, self.amap, phi, weights[keep], self.index[keep], self.unit
         )
 
 
@@ -226,13 +242,12 @@ def _phase_tables(
         phi.append(_phi_table(cutoff, points))
         weights.append(counts)
     weights = np.concatenate(weights)
-    u = _phase_factors(np.deg2rad(phases), cutoff + 1)
-    uu = u[:, :, None] * u.conj()[:, None, :]
+    factors = _phase_table(_phase_factors(np.deg2rad(phases), cutoff + 1))
     amap = _product_map(cutoff)
     if bin_width is None:
-        return _PhaseTables(u, uu, amap, phi, weights, np.concatenate(index), "records"), column
+        return _PhaseTables(factors, amap, phi, weights, np.concatenate(index), "records"), column
     unit = "histogram bins (numbered phase by phase, ascending q)"
-    return _PhaseTables(u, uu, amap, phi, weights, np.arange(weights.size), unit), column
+    return _PhaseTables(factors, amap, phi, weights, np.arange(weights.size), unit), column
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -290,31 +305,33 @@ def _line_search(
     gradient keeps its precision: a trial whose gain is within that
     resolution passes if the slope along the step passes the Armijo rule's
     derivative form, which is exact for a quadratic. Returns the accepted
-    (A, rho, p, LL, R), or None after _MAX_BACKTRACKS halvings.
+    (A, p, LL, R), or None after _MAX_BACKTRACKS halvings.
     """
     total = float(tables.weights.sum())
     resolution = _LL_RESOLUTION * abs(ll)
     t = 1.0
     for _ in range(_MAX_BACKTRACKS):
         trial = a + t * direction.view(complex).reshape(a.shape)
-        rho = _state(trial)
-        trial_p = tables.probabilities(rho)
+        trial_p = tables.probabilities(_state(trial))
         if np.all(trial_p > _PROB_FLOOR):
             gain = _gain(tables.weights, p, trial_p)
             if gain > 0 and gain >= -_ARMIJO * t * slope * total:
-                return trial, rho, trial_p, ll + gain, tables.r_operator(trial_p)
+                return trial, trial_p, ll + gain, tables.r_operator(trial_p)
             if gain >= -resolution:
                 r_op = tables.r_operator(trial_p)
                 if _gradient(r_op, trial, total) @ direction <= (1 - 2 * _ARMIJO) * -slope:
-                    return trial, rho, trial_p, ll + gain, r_op
+                    return trial, trial_p, ll + gain, r_op
         t *= 0.5
     return None
 
 
-def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]:
-    """L-BFGS on the factor A of rho; see `mle_reconstruct`."""
+def _iterate(
+    tables: _PhaseTables, cfg: MleConfig, start: np.ndarray | None = None
+) -> tuple[np.ndarray, dict]:
+    """L-BFGS on the factor A of rho from `start`, by default I/sqrt(dim);
+    returns the last A and the diagnostics. See `mle_reconstruct`."""
     diag_warnings: list[str] = []
-    if len(tables.u) < 2:
+    if len(tables.phases) < 2:
         msg = (
             "dataset contains a single phase: off-diagonal elements are not "
             "identifiable; the reconstruction is reliable only on the diagonal "
@@ -324,9 +341,11 @@ def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]
         diag_warnings.append(msg)
     dim = cfg.cutoff + 1
     total = float(tables.weights.sum())
-    a = np.eye(dim, dtype=complex) / np.sqrt(dim)
-    rho = _state(a)
-    p, ll = tables.log_likelihood(rho, "at the maximally mixed start")
+    if start is None:
+        a, when = _mixed_factor(dim), "at the maximally mixed start"
+    else:
+        a, when = start, "at the start"
+    p, ll = tables.log_likelihood(_state(a), when)
     r_op = tables.r_operator(p)
     history = [ll]
     pairs: deque = deque(maxlen=_LBFGS_PAIRS)
@@ -358,7 +377,7 @@ def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]
         if accepted is None:
             stop = f"the line search could not raise the likelihood at iteration {len(history)}"
             break
-        new_a, rho, p, new_ll, r_op = accepted
+        new_a, p, new_ll, r_op = accepted
         if ll - new_ll > _MONOTONE_TOL * max(1.0, abs(ll)):
             monotone = False
         step, a, ll = _real(new_a - a), new_a, new_ll
@@ -376,7 +395,37 @@ def _iterate(tables: _PhaseTables, cfg: MleConfig) -> tuple[DensityMatrix, dict]
         "log_likelihood_history": history,
         "warnings": diag_warnings,
     }
-    return DensityMatrix(rho, HilbertConfig(cfg.cutoff)), diagnostics
+    return a, diagnostics
+
+
+def _mixed_factor(dim: int) -> np.ndarray:
+    """A = I/sqrt(dim), the factor of the maximally mixed state."""
+    return np.eye(dim, dtype=complex) / np.sqrt(dim)
+
+
+def _density(a: np.ndarray) -> DensityMatrix:
+    """The state A A^†/Tr(A A^†) of a factor."""
+    return DensityMatrix(_state(a), HilbertConfig(a.shape[0] - 1))
+
+
+def _prefit(
+    dataset: HomodyneDataset, tables: _PhaseTables, cfg: MleConfig
+) -> tuple[np.ndarray | None, int]:
+    """The factor A of a binned fit of the same records, and its iteration
+    count; (None, 0) if that fit fails or leaves a record of `tables` with a
+    vanishing probability. The binned fit's own warnings are dropped: the
+    pointwise fit gives its own."""
+    try:
+        binned, _ = _phase_tables(dataset, cfg.cutoff, _PREFIT_BIN_WIDTH)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentifiabilityWarning)
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            a, diag = _iterate(binned, cfg)
+    except (CatsimError, np.linalg.LinAlgError):
+        return None, 0
+    if np.any(tables.probabilities(_state(a)) <= _PROB_FLOOR):
+        return None, 0
+    return a, diag["iterations"]
 
 
 def mle_reconstruct(
@@ -387,11 +436,21 @@ def mle_reconstruct(
     Returns the reconstructed state and a diagnostics dict with the iteration
     count, the final log-likelihood and its gap bound, the convergence flag,
     the full log-likelihood history (one entry per accepted iterate, the
-    start included) and any warnings. The state is A A^†/Tr(A A^†), so it is
+    start included) and any warnings. These describe this fit's own
+    iteration; `prefit_iterations` counts the iterations of the binned fit
+    that started a pointwise one, and is 0 when the fit started from the
+    maximally mixed state. The state is A A^†/Tr(A A^†), so it is
     Hermitian, unit-trace and positive semidefinite at every iterate.
     """
     tables, _ = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
-    return _iterate(tables, cfg)
+    start, prefit_iterations = None, 0
+    if cfg.bin_width is None:
+        # a record that vanishes at the mixed state is an error, whatever the pre-fit does
+        tables.log_likelihood(_state(_mixed_factor(cfg.cutoff + 1)), "at the maximally mixed start")
+        start, prefit_iterations = _prefit(dataset, tables, cfg)
+    a, diagnostics = _iterate(tables, cfg, start)
+    diagnostics["prefit_iterations"] = prefit_iterations
+    return _density(a), diagnostics
 
 
 def _replica_quantities(rho: DensityMatrix) -> dict:
@@ -429,8 +488,8 @@ def bootstrap(
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonConvergenceWarning)
-                rho, run = _iterate(tables.reweighted(weights), cfg)
-            results.append(_replica_quantities(rho))
+                a, run = _iterate(tables.reweighted(weights), cfg)
+            results.append(_replica_quantities(_density(a)))
             runs.append(run)
         except (CatsimError, np.linalg.LinAlgError) as exc:
             failures.append((type(exc).__name__, str(exc)))

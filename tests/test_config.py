@@ -51,7 +51,10 @@ CONFIGS = st.builds(
         cutoff=st.integers(1, 200),
         idler_cutoff=st.integers(1, 50),
     )
-    .filter(lambda kw: kw["herald_n"] <= kw["idler_cutoff"])
+    .filter(
+        lambda kw: kw["herald_n"] <= kw["idler_cutoff"]
+        and (kw["cutoff"] + 1) * (kw["idler_cutoff"] + 1) <= 4096  # the joint-dimension budget
+    )
     .map(lambda kw: ExperimentParams(**kw)),
     plan=st.builds(
         PhasePlan,

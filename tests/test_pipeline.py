@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -150,6 +151,20 @@ def test_config_rejects_non_positive_gap_tolerance(value):
     text = light_config().to_ini().replace("gap_tolerance = 0.001", f"gap_tolerance = {value}")
     with pytest.raises(ConfigError, match="gap_tolerance"):
         RunConfig.from_ini(text)
+
+
+@pytest.mark.parametrize("key, value", [("idler_cutoff", "200"), ("cutoff", "500")])
+def test_joint_dimension_over_budget_is_a_config_error(tmp_path, capsys, key, value):
+    # refused with the other config errors: exit 2, and nothing written
+    text = light_config().to_ini()
+    changed = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    assert changed != text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(changed)
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "exceeds the budget 4096" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- stages

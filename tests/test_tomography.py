@@ -131,7 +131,9 @@ def test_singular_record_reported_by_dataset_index():
     with pytest.raises(SingularLikelihoodError) as err:
         mle_reconstruct(ds, MleConfig(cutoff=8))
     assert err.value.record_indices == [2]
-    assert "records" in str(err.value)
+    # raised on the records themselves, before any binned pre-fit
+    assert "records have vanishing probability at the maximally mixed start" in str(err.value)
+    assert "bins" not in str(err.value)
     with pytest.raises(SingularLikelihoodError) as err:
         mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=0.5))
     assert "bins" in str(err.value)
@@ -460,6 +462,97 @@ def test_mle_output_satisfies_state_invariants(herald2_recon):
     assert np.linalg.eigvalsh(elements)[0] > -1e-9
 
 
+# ---------------------------------------------------------------- the pointwise start
+
+
+def cold_fit(dataset, cfg):
+    """The pointwise fit from the maximally mixed state, as it ran before
+    it started from a binned pre-fit."""
+    tables, _ = _phase_tables(dataset, cfg.cutoff, None)
+    a, diag = tomography._iterate(tables, cfg)
+    return tomography._density(a), diag
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_prefit_start_reaches_the_cold_maximum(n):
+    # the acceptance suite's criterion-06 datasets
+    truth = herald_subtract(ExperimentParams().with_herald(n)).state
+    ds = synth_dataset(truth, PhasePlan(), seed=20240811 + n, source_id=f"herald_{n}")
+    cfg = MleConfig(cutoff=15)
+    rho, diag = mle_reconstruct(ds, cfg)
+    cold_rho, cold = cold_fit(ds, cfg)
+    assert diag["prefit_iterations"] > 0 and diag["converged"] and diag["monotone"]
+    assert fidelity(rho, cold_rho) >= 1 - 1e-8
+    assert diag["final_log_likelihood"] >= cold["final_log_likelihood"] - cfg.gap_tolerance
+
+
+def test_prefit_iterations_are_counted(monkeypatch, squeezed_two_phase):
+    ds, cfg, _ = squeezed_two_phase
+    runs = []
+    iterate = tomography._iterate
+
+    def spy(tables, cfg, start=None):
+        a, diag = iterate(tables, cfg, start)
+        runs.append((tables, start, a, diag))
+        return a, diag
+
+    monkeypatch.setattr(tomography, "_iterate", spy)
+    _, diag = mle_reconstruct(ds, cfg)
+    (binned, cold_start, prefit_a, prefit), (tables, warm_start, _, own) = runs
+    assert cold_start is None and warm_start is prefit_a
+    assert binned.weights.size < len(ds) == tables.weights.size
+    assert diag is own and diag["prefit_iterations"] == prefit["iterations"] > 0
+    # the history is the pointwise fit's own, from the LL of the pre-fit's state
+    _, ll = tables.log_likelihood(tomography._state(prefit_a), "")
+    assert diag["log_likelihood_history"][0] == ll
+    assert len(diag["log_likelihood_history"]) == diag["iterations"]
+    runs.clear()
+    _, diag = mle_reconstruct(ds, MleConfig(cutoff=cfg.cutoff, bin_width=0.05))
+    assert len(runs) == 1 and runs[0][1] is None and diag["prefit_iterations"] == 0
+
+
+@pytest.mark.parametrize(
+    "far",
+    [
+        27.054,  # its bin centre, 27.075, vanishes at the pre-fit's mixed start
+        27.049,  # its bin, centred at 27.025, does not; the record vanishes at the pre-fit's end
+    ],
+)
+def test_pointwise_fit_starts_cold_when_the_prefit_fails(far):
+    # at cutoff 12 the mixed state's probability crosses the 1e-290 floor at
+    # |q| = 27.0557; the fit cannot keep the record above the floor, so it stalls
+    assert tomography._PREFIT_BIN_WIDTH == 0.05  # the bin centres above
+    rng = np.random.default_rng(5)
+    q = np.append(rng.normal(0.0, math.sqrt(0.5), 600), far)
+    theta = np.append(rng.choice([0.0, 60.0, 120.0], 600), 0.0)
+    ds = HomodyneDataset(theta, q)
+    cfg = MleConfig(cutoff=12)
+    with pytest.warns(NonConvergenceWarning) as caught:
+        rho, diag = mle_reconstruct(ds, cfg)
+    assert len(caught) == 1 and diag["prefit_iterations"] == 0
+    with pytest.warns(NonConvergenceWarning):
+        cold_rho, cold = cold_fit(ds, cfg)
+    assert np.array_equal(rho.elements, cold_rho.elements)
+    assert diag["log_likelihood_history"] == cold["log_likelihood_history"]
+
+
+@pytest.mark.parametrize("max_iterations", [3, 2000])
+def test_pointwise_fit_warns_once(max_iterations):
+    # the pre-fit reads the same single phase and, at 3 iterations, stops short
+    # too: the fit gives each warning once
+    rho = squeezed_vacuum(SqueezeSpec(0.3), CFG30).to_density()
+    ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0,), samples_per_phase=500), seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, diag = mle_reconstruct(ds, MleConfig(cutoff=6, max_iterations=max_iterations))
+    kinds = [w.category for w in caught]
+    assert kinds.count(IdentifiabilityWarning) == 1
+    assert kinds.count(NonConvergenceWarning) == (max_iterations == 3)
+    assert len(diag["warnings"]) == len(caught)
+    assert diag["prefit_iterations"] > 0
+    assert max_iterations > 3 or diag["prefit_iterations"] == 3
+
+
 def test_nonconvergence_warning_and_best_iterate():
     rho = squeezed_vacuum(SqueezeSpec(0.4), CFG30).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=2000), seed=3)
@@ -534,7 +627,9 @@ def test_bootstrap_vacuum_sigma():
 
 
 def resampled_replica(dataset, cfg, seed, i):
-    """Replica i as a resampled dataset reconstructed from scratch."""
+    """Replica i as a resampled dataset reconstructed from scratch, from the
+    maximally mixed state as replicas start (a pointwise `mle_reconstruct`
+    would start from a binned pre-fit)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
     rng = np.random.default_rng(int(ss.generate_state(1)[0]))
     pick = []
@@ -544,9 +639,11 @@ def resampled_replica(dataset, cfg, seed, i):
     pick = np.concatenate(pick)
     snv = dataset.meta["shot_noise_variance"]
     resampled = HomodyneDataset(dataset.theta_deg[pick], dataset.q[pick], {"shot_noise_variance": snv})
+    tables, _ = _phase_tables(resampled, cfg.cutoff, cfg.bin_width)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NonConvergenceWarning)
-        return mle_reconstruct(resampled, cfg)
+        a, diag = tomography._iterate(tables, cfg)
+    return tomography._density(a), diag
 
 
 @pytest.mark.parametrize("bin_width", [None, 0.1])
