@@ -3,7 +3,7 @@
 Each section holds one dataclass (see _SECTIONS), and each of its fields one
 key `name = repr(value)`, parsed back by the field's type. _CODECS holds the
 fields whose key or text differ; a key may be missing only where _OPTIONAL
-allows, and the field then keeps its default.
+allows, keeping the field's default. Other keys and sections are refused.
 """
 
 from __future__ import annotations
@@ -98,6 +98,11 @@ def _read(cp: configparser.ConfigParser, section: str, cls):
     """Build cls from its keys in `section`, and its dataclass fields from their sections."""
     hints = typing.get_type_hints(cls)
     values = {s: _read(cp, s, hints[s]) for s in _SECTIONS if s in hints}
+    keys = [key for _, key, _, _ in _codec(cls)]
+    for key in cp.options(section) if cp.has_section(section) else ():
+        if key not in keys:
+            known = ", ".join(keys)
+            raise ConfigError(f"[{section}] {key} is no longer read, or never was; it reads {known}")
     for name, key, _, parse in _codec(cls):
         if cp.has_option(section, key) or not {section, f"{section}.{key}"} & _OPTIONAL:
             values[name] = parse(cp.get(section, key))
@@ -140,11 +145,9 @@ class RunConfig:
         cp = configparser.ConfigParser()
         try:
             cp.read_string(text)
-            if cp.has_option("mle", "log_likelihood_tolerance"):
-                raise ConfigError(
-                    "[mle] log_likelihood_tolerance is no longer read: the MLE now stops on "
-                    "gap_tolerance, the certified likelihood gap in nats (default 1e-3)"
-                )
+            if unknown := [s for s in cp.sections() if s not in _SECTIONS]:
+                known = ", ".join(_SECTIONS)
+                raise ConfigError(f"section [{unknown[0]}] is not read; the sections are {known}")
             return _read(cp, "run", cls)
         except (configparser.Error, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc

@@ -61,10 +61,6 @@ class SingularLikelihoodError(CatsimError):
         self.record_indices = list(record_indices)
 
 
-class ConvergenceError(CatsimError):
-    """An adaptive numerical routine failed to converge."""
-
-
 class BootstrapError(CatsimError):
     """Too many bootstrap replicas failed to reconstruct."""
 

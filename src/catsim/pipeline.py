@@ -138,6 +138,14 @@ def _require(out: Path, stage: str, needed: str, cfg: RunConfig) -> dict:
     return manifest
 
 
+def _input(out: Path, stage: str, rel: str) -> Path:
+    """out / rel, an output of `stage`; a MissingInputError naming it if it is gone."""
+    path = out / rel
+    if not path.exists():
+        raise MissingInputError(stage, f"{path} missing; rerun '{stage}'")
+    return path
+
+
 def state_names(cfg: RunConfig) -> list[str]:
     if cfg.mode == CAT_PANELS_MODE:
         return ["cat_even", "cat_odd", "cat_even_lossy", "cat_mixed"]
@@ -234,10 +242,7 @@ def sample(cfg: RunConfig, out: str | Path) -> list[Path]:
     ds_dir = out / "datasets"
     ds_dir.mkdir(parents=True, exist_ok=True)
     for i, name in enumerate(state_names(cfg)):
-        dm_path = out / "states" / name / "density_matrix.json"
-        if not dm_path.exists():
-            raise MissingInputError("simulate", f"state file {dm_path} missing")
-        rho = load_density_matrix(dm_path)
+        rho = load_density_matrix(_input(out, "simulate", f"states/{name}/density_matrix.json"))
         ds = synth_dataset(rho, cfg.plan, _stage_seed(cfg.seed, "sample", i), source_id=name)
         path = ds_dir / f"{name}.csv"
         save_dataset(ds, path)
@@ -253,13 +258,12 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
     stays honest by consuming nothing but the sampled records.
     """
     out = Path(out)
-    _require(out, "reconstruct", "sample", cfg)
-    ds_dir = out / "datasets"
-    if not ds_dir.exists() or not any(ds_dir.glob("*.csv")):
-        raise MissingInputError("sample", f"no dataset CSVs under {ds_dir}")
+    manifest = _require(out, "reconstruct", "sample", cfg)
+    for rel in manifest["stages"]["sample"]["files"]:
+        _input(out, "sample", rel)
     t0 = time.perf_counter()
     files: list[Path] = []
-    for path in sorted(ds_dir.glob("*.csv")):
+    for path in sorted((out / "datasets").glob("*.csv")):
         ds = load_dataset(path)
         name = path.stem
         rho_hat, diag = mle_reconstruct(ds, cfg.mle)
@@ -281,10 +285,10 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
     files: list[Path] = []
     summary: dict = {"config_hash": cfg.config_hash(), "mode": cfg.mode, "states": {}}
     for i, name in enumerate(state_names(cfg)):
-        sim = load_density_matrix(out / "states" / name / "density_matrix.json")
-        rec = load_density_matrix(out / "recon" / name / "density_matrix.json")
+        sim = load_density_matrix(_input(out, "simulate", f"states/{name}/density_matrix.json"))
+        rec = load_density_matrix(_input(out, "reconstruct", f"recon/{name}/density_matrix.json"))
         common = max(sim.config.cutoff, rec.config.cutoff)
-        ds = load_dataset(out / "datasets" / f"{name}.csv")
+        ds = load_dataset(_input(out, "sample", f"datasets/{name}.csv"))
         seed = _stage_seed(cfg.seed, "bootstrap", i)
         rep = bootstrap(ds, cfg.mle, replicas=cfg.bootstrap_replicas, seed=seed)
         boot_path = out / "recon" / name / "bootstrap.json"
@@ -330,9 +334,7 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 def _read_wigner_min(out: Path, names: list[str]) -> list[float]:
     """Min W of each named state on the simulated grid, as simulate wrote it to rates.csv."""
-    path = out / "rates.csv"
-    if not path.exists():
-        raise MissingInputError("simulate", f"{path} missing")
+    path = _input(out, "simulate", "rates.csv")
     lines = path.read_text(encoding="ascii").splitlines()
     if not lines or lines[0] != RATES_HEADER:
         raise SchemaError(f"{path} lacks the header {RATES_HEADER!r}; rerun 'simulate'")
@@ -385,7 +387,7 @@ def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
         )
     )
 
-    rho0 = load_density_matrix(out / "states" / "herald_0" / "density_matrix.json")
+    rho0 = load_density_matrix(_input(out, "simulate", "states/herald_0/density_matrix.json"))
     odd = float(rho0.diagonal[1::2].sum())
     checks.append(
         _check("odd_weight_n0", odd > 0.01, f"odd-photon weight of the n=0 state: {odd:.4f}")

@@ -30,9 +30,9 @@ costs one (2·cutoff+1)-row GEMV per phase and direction, about 2(2d - 1)
 flops per record and product for dim d = cutoff + 1, against 2d^2 for
 the projectors themselves; the d x d work is one small GEMM over all
 phases. The tables are built once per dataset; w is 1 per record, or the
-bin count when records are histogrammed. A bootstrap replica resamples
-each phase's records with replacement and reuses the tables: w becomes
-how often its draw picked each record or bin.
+bin count when records are histogrammed. A bootstrap replica reuses the
+tables with each phase's w drawn from a multinomial of its n records with
+probabilities w/n, the law of resampling those records with replacement.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter, deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -160,6 +161,12 @@ class _PhaseTables:
     index: np.ndarray  # dataset record index per column, or the bin number
     unit: str  # what `index` counts, for error messages
 
+    @cached_property
+    def columns(self) -> list[slice]:
+        """Each phase's columns of `weights` and `index`."""
+        ends = np.cumsum([phi.shape[1] for phi in self.phi])
+        return [slice(end - phi.shape[1], end) for phi, end in zip(self.phi, ends)]
+
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         """p = (A·Re(U^† rho U))^T Phi: one small GEMM, then one GEMV per phase."""
         b = _coefficients(rho, self.phases)
@@ -169,8 +176,7 @@ class _PhaseTables:
         """R = sum_theta conj(phases_theta) ∘ (A^T·Phi_theta(w/p)): one GEMV
         per phase, then one small GEMM and one broadcast product."""
         c = self.weights / p
-        ends = np.cumsum([phi.shape[1] for phi in self.phi])
-        moments = np.stack([phi @ c[stop - phi.shape[1] : stop] for phi, stop in zip(self.phi, ends)])
+        moments = np.stack([phi @ c[cols] for phi, cols in zip(self.phi, self.columns)])
         g = (moments @ self.amap).reshape(self.phases.shape)
         return np.einsum("tnm,tnm->nm", self.phases, g).conj()
 
@@ -193,18 +199,14 @@ class _PhaseTables:
         likelihood, so the tables stand for exactly the records counted.
         """
         keep = weights > 0
-        ends = np.cumsum([phi.shape[1] for phi in self.phi])[:-1]
-        phi = [phi[:, k] for phi, k in zip(self.phi, np.split(keep, ends))]
-        return _PhaseTables(
-            self.phases, self.amap, phi, weights[keep], self.index[keep], self.unit
-        )
+        phi = [phi[:, keep[cols]] for phi, cols in zip(self.phi, self.columns)]
+        return replace(self, phi=phi, weights=weights[keep], index=self.index[keep])
 
 
 def _phase_tables(
     dataset: HomodyneDataset, cutoff: int, bin_width: float | None
-) -> tuple[_PhaseTables, np.ndarray]:
-    """Tables for the records, or for histogram bins of width bin_width,
-    and the table column of each record.
+) -> _PhaseTables:
+    """Tables for the records, or for histogram bins of width bin_width.
 
     Records are first rescaled to vacuum variance 1/2. This is the input
     guard of every entry point: an empty dataset, or a shot-noise variance
@@ -220,12 +222,10 @@ def _phase_tables(
     theta_deg, q = dataset.theta_deg, dataset.q * float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
     phases = np.unique(theta_deg)
     phi, weights, index = [], [], []
-    column = np.empty(q.size, dtype=np.intp)
-    start = 0
     for t in phases:
         idx = np.nonzero(theta_deg == t)[0]
         if bin_width is None:
-            points, counts, col = q[idx], np.ones(idx.size), np.arange(idx.size)
+            points, counts = q[idx], np.ones(idx.size)
             index.append(idx)
         else:
             # bin k holds k·w <= q < (k+1)·w, as those float products compare; a
@@ -234,20 +234,17 @@ def _phase_tables(
                 k = np.floor(q[idx] / bin_width)
             k -= k * bin_width > q[idx]
             k += (k + 1) * bin_width <= q[idx]
-            occupied, col, hist = np.unique(k, return_inverse=True, return_counts=True)
+            occupied, counts = np.unique(k, return_counts=True)
             points = 0.5 * (occupied * bin_width + (occupied + 1) * bin_width)
-            counts = hist.astype(float)
-        column[idx] = start + col
-        start += counts.size
         phi.append(_phi_table(cutoff, points))
         weights.append(counts)
-    weights = np.concatenate(weights)
+    weights = np.concatenate(weights, dtype=float)
     factors = _phase_table(_phase_factors(np.deg2rad(phases), cutoff + 1))
     amap = _product_map(cutoff)
     if bin_width is None:
-        return _PhaseTables(factors, amap, phi, weights, np.concatenate(index), "records"), column
+        return _PhaseTables(factors, amap, phi, weights, np.concatenate(index), "records")
     unit = "histogram bins (numbered phase by phase, ascending q)"
-    return _PhaseTables(factors, amap, phi, weights, np.arange(weights.size), unit), column
+    return _PhaseTables(factors, amap, phi, weights, np.arange(weights.size), unit)
 
 
 def _real(x: np.ndarray) -> np.ndarray:
@@ -416,7 +413,7 @@ def _prefit(
     vanishing probability. The binned fit's own warnings are dropped: the
     pointwise fit gives its own."""
     try:
-        binned, _ = _phase_tables(dataset, cfg.cutoff, _PREFIT_BIN_WIDTH)
+        binned = _phase_tables(dataset, cfg.cutoff, _PREFIT_BIN_WIDTH)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IdentifiabilityWarning)
             warnings.simplefilter("ignore", NonConvergenceWarning)
@@ -442,7 +439,7 @@ def mle_reconstruct(
     maximally mixed state. The state is A A^†/Tr(A A^†), so it is
     Hermitian, unit-trace and positive semidefinite at every iterate.
     """
-    tables, _ = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
+    tables = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
     start, prefit_iterations = None, 0
     if cfg.bin_width is None:
         # a record that vanishes at the mixed state is an error, whatever the pre-fit does
@@ -465,26 +462,27 @@ def _replica_quantities(rho: DensityMatrix) -> dict:
 def bootstrap(
     dataset: HomodyneDataset, cfg: MleConfig, replicas: int = 1000, seed: int = 0
 ) -> BootstrapReport:
-    """Resample records with replacement (stratified per phase) and rerun the MLE.
+    """Rerun the MLE on stratified bootstrap replicas of the records.
 
-    A replica reweights the dataset's tables by how often its draw picked
-    each record, so the tables are built once. Replicas run in turn, each
-    from its own seed, so the report depends only on `seed`. A replica
-    that fails with a CatsimError or LinAlgError is counted and skipped;
-    at least 90% must succeed.
+    The tables are built once. Per phase, a replica's weights are one
+    multinomial draw of the phase's n records over its columns with
+    probabilities w/n, which in law resamples its records with replacement
+    (Efron and Tibshirani, An Introduction to the Bootstrap, 1993). Replicas
+    run in turn, each from its own seed, so the report depends only on
+    `seed`. A replica that fails with a CatsimError or LinAlgError is
+    counted and skipped; at least 90% must succeed.
     """
     if replicas < 2:
         raise DomainError("replicas must be >= 2")
-    tables, column = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
-    phases = [np.nonzero(dataset.theta_deg == t)[0] for t in np.unique(dataset.theta_deg)]
+    tables = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
+    draws = [(int(w.sum()), w / w.sum()) for w in (tables.weights[c] for c in tables.columns)]
     results: list[dict] = []
     runs: list[dict] = []
     failures: list[tuple[str, str]] = []
     for i in range(replicas):
         ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(i,))
         rng = np.random.default_rng(int(ss.generate_state(1)[0]))
-        pick = np.concatenate([rng.choice(idx, size=idx.size, replace=True) for idx in phases])
-        weights = np.bincount(column[pick], minlength=tables.weights.size).astype(float)
+        weights = np.concatenate([rng.multinomial(n, p) for n, p in draws]).astype(float)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", NonConvergenceWarning)

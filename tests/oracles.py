@@ -15,8 +15,11 @@ import math
 
 import numpy as np
 
-from catsim.errors import ConvergenceError
 from catsim.fock import DensityMatrix, StateVector, quadrature_basis
+
+
+class QuadratureError(ArithmeticError):
+    """wigner_integral_oracle's grid refinement did not settle."""
 
 
 def laguerre_wigner(rho: np.ndarray, x, p) -> np.ndarray:
@@ -78,11 +81,11 @@ def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
         value = complex(np.trapezoid(integrand, pp))
         if previous is not None and abs(value - previous) <= 1e-8 * max(1.0, abs(value)):
             if abs(value.imag) > 1e-6:
-                raise ConvergenceError(f"imaginary residue {value.imag} in Wigner quadrature")
+                raise QuadratureError(f"imaginary residue {value.imag} in Wigner quadrature")
             return float(value.real)
         previous = value
         points = 2 * (points - 1) + 1
-    raise ConvergenceError("Wigner quadrature did not converge under grid refinement")
+    raise QuadratureError("Wigner quadrature did not converge under grid refinement")
 
 
 def beam_splitter_amplitude(n: int, m: int, k: int) -> float:

@@ -188,3 +188,23 @@ def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, v
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # refused before anything is written
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("gap_tolerance = 0.001", "gap_tolerance = 0.001\ngap_tol = 0.01", "[mle] gap_tol is no"),
+        ("[cat]", "[gridz]\nquad_points = 81\n\n[cat]", "section [gridz] is not read"),
+        ("[cat]", "[cat]\nalpha = 2.5", "[cat] alpha is no longer read"),
+        ("[run]", "[run]\nworkers = 2", "[run] workers is no longer read"),
+    ],
+    ids=["key_typo", "added_section", "cat_key", "run_key"],
+)
+def test_unknown_keys_and_sections_are_refused(tmp_path, capsys, old, new, message):
+    text = preset("default").to_ini()
+    assert text.count(old) == 1
+    path = tmp_path / "bad.ini"
+    path.write_text(text.replace(old, new))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before anything is written

@@ -591,6 +591,44 @@ def test_analyze_names_a_malformed_reconstruction(finished_run, tmp_path, capsys
     assert str(victim) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage, gone, upstream",
+    [
+        ("sample", "states/herald_1/density_matrix.json", "simulate"),
+        ("reconstruct", "datasets/herald_1.csv", "sample"),
+        ("analyze", "states/herald_1/density_matrix.json", "simulate"),
+        ("analyze", "datasets/herald_1.csv", "sample"),
+        ("analyze", "recon/herald_1/density_matrix.json", "reconstruct"),
+    ],
+)
+def test_a_stage_names_the_input_that_is_gone(
+    finished_run, tmp_path, capsys, stage, gone, upstream
+):
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    (out / gone).unlink()
+    manifest = (out / "manifest.json").read_bytes()
+    assert cli_main([stage, "--config", str(cfg_path), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert f"missing outputs of stage '{upstream}'" in err and str(out / gone) in err
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_reconstruct_refuses_only_a_recorded_dataset_that_is_gone(finished_run, tmp_path, capsys):
+    # a CSV the user adds reconstructs; one that sample recorded must be there
+    out, cfg_path = _copied_run(finished_run, tmp_path)
+    shutil.rmtree(out / "recon")
+    datasets = out / "datasets"
+    shutil.copy(datasets / "herald_0.csv", datasets / "mine.csv")
+    (datasets / "herald_1.csv").unlink()
+    argv = ["reconstruct", "--config", str(cfg_path), "--out", str(out)]
+    assert cli_main(argv) == 4
+    assert not (out / "recon").exists()  # refused before any fit
+    shutil.copy(datasets / "herald_0.csv", datasets / "herald_1.csv")
+    assert cli_main(argv) == 0
+    assert (out / "recon" / "mine" / "density_matrix.json").exists()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("text", ["{not json", "[1]", '{"warnings": 1}'])
 def test_unreadable_diagnostics_fail_integrity(finished_run, tmp_path, capsys, text):
     out, cfg_path = _copied_run(finished_run, tmp_path)

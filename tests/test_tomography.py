@@ -9,7 +9,6 @@ from catsim import tomography
 from catsim.channels import ExperimentParams, herald_subtract
 from catsim.errors import (
     BootstrapError,
-    ConvergenceError,
     DomainError,
     IdentifiabilityWarning,
     NonConvergenceWarning,
@@ -26,7 +25,7 @@ from catsim.fock import (
     squeezed_vacuum,
 )
 from catsim.phasespace import _phi_table, _product_map, marginal, marginal_sweep, origin_parity
-from catsim.sampler import HomodyneDataset, PhasePlan, synth_dataset
+from catsim.sampler import SHOT_NOISE_VARIANCE, HomodyneDataset, PhasePlan, synth_dataset
 from catsim.tomography import (
     BootstrapReport,
     MleConfig,
@@ -90,7 +89,7 @@ def test_povm_projector_is_rank_one_psd():
 def log_likelihood(rho, dataset):
     """The kernel's sum of ln p_j over the records, one table column per record."""
     elements = np.asarray(getattr(rho, "elements", rho))
-    tables, _ = _phase_tables(dataset, elements.shape[0] - 1, None)
+    tables = _phase_tables(dataset, elements.shape[0] - 1, None)
     return tables.log_likelihood(elements, "under the state")[1]
 
 
@@ -158,10 +157,10 @@ def test_binning_matches_the_dense_edges(width):
         [np.random.default_rng(7).normal(scale=3.0, size=500), edges,
          np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
     )
-    tables, column = _phase_tables(HomodyneDataset(np.zeros(q.size), q), 4, width)
-    points, counts, col = dense_bins(q, width)
+    tables = _phase_tables(HomodyneDataset(np.zeros(q.size), q), 4, width)
+    points, counts, _ = dense_bins(q, width)
     assert np.array_equal(tables.phi[0], _phi_table(4, points))
-    assert np.array_equal(tables.weights, counts) and np.array_equal(column, col)
+    assert np.array_equal(tables.weights, counts)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -201,11 +200,10 @@ def test_phase_tables_match_brute_force_pointwise():
     cutoff = 8
     rho = random_density(cutoff + 1, seed=3)
     theta, q = interleaved_records(seed=4)
-    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
+    tables = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
     want_p, want_r = brute_force_p_and_r(rho, theta, q, cutoff)
     p = tables.probabilities(rho)
     assert sorted(tables.index.tolist()) == list(range(q.size))
-    assert np.array_equal(tables.index[column], np.arange(q.size))
     assert np.allclose(p, want_p[tables.index], rtol=0, atol=1e-12)
     assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
 
@@ -216,13 +214,10 @@ def test_phase_tables_match_brute_force_binned():
     rho = random_density(cutoff + 1, seed=5)
     theta, q = interleaved_records(seed=6)
     centers = (np.floor(q / width) + 0.5) * width
-    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, width)
+    tables = _phase_tables(HomodyneDataset(theta, q), cutoff, width)
     want_p, want_r = brute_force_p_and_r(rho, theta, centers, cutoff)
     p = tables.probabilities(rho)
     assert tables.weights.sum() == q.size
-    assert np.array_equal(np.bincount(column), tables.weights)
-    # each record's column stands for its bin center
-    assert np.allclose(p[column], want_p, rtol=0, atol=1e-12)
     assert np.dot(tables.weights, np.log(p)) == pytest.approx(np.log(want_p).sum(), abs=1e-12)
     assert np.allclose(tables.r_operator(p), want_r, rtol=0, atol=1e-12)
 
@@ -296,9 +291,9 @@ def test_probabilities_match_extended_precision_projectors(cutoff, state):
         rho = random_density(dim, seed=cutoff)
     q = np.linspace(-10.0, 10.0, 1201)
     theta = np.resize(np.array([-45.0, 0.0, 22.5, 90.0, 131.0]), q.size)
-    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
+    tables = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
     want = longdouble_probabilities(rho, theta, q, cutoff)
-    p = tables.probabilities(rho)[column]
+    p = tables.probabilities(rho)[np.argsort(tables.index)]
     assert np.max(np.abs(p - want) / want) <= 1e-12
     # the likelihood and the marginal sweep read one coefficient function and one phi table
     state = DensityMatrix(rho, HilbertConfig(cutoff))
@@ -323,8 +318,8 @@ def test_far_records_keep_their_probability(cutoff):
     assert np.max(np.abs(phi[~normal] - ref[~normal])) <= tiny
     rho = random_density(cutoff + 1, seed=cutoff)
     want = longdouble_probabilities(rho, theta, q, cutoff)
-    tables, column = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
-    p = tables.probabilities(rho)[column]
+    tables = _phase_tables(HomodyneDataset(theta, q), cutoff, None)
+    p = tables.probabilities(rho)[np.argsort(tables.index)]
     normal = want > tiny
     assert normal[:4].all() and not normal[4]  # q = 35 is below the double range
     assert np.max(np.abs(p[normal] - want[normal]) / want[normal]) <= 1e-12
@@ -468,7 +463,7 @@ def test_mle_output_satisfies_state_invariants(herald2_recon):
 def cold_fit(dataset, cfg):
     """The pointwise fit from the maximally mixed state, as it ran before
     it started from a binned pre-fit."""
-    tables, _ = _phase_tables(dataset, cfg.cutoff, None)
+    tables = _phase_tables(dataset, cfg.cutoff, None)
     a, diag = tomography._iterate(tables, cfg)
     return tomography._density(a), diag
 
@@ -626,43 +621,59 @@ def test_bootstrap_vacuum_sigma():
     assert rep.mean_photon[1] < 0.01
 
 
-def resampled_replica(dataset, cfg, seed, i):
-    """Replica i as a resampled dataset reconstructed from scratch, from the
-    maximally mixed state as replicas start (a pointwise `mle_reconstruct`
-    would start from a binned pre-fit)."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-    rng = np.random.default_rng(int(ss.generate_state(1)[0]))
-    pick = []
-    for t in np.unique(dataset.theta_deg):
-        idx = np.nonzero(dataset.theta_deg == t)[0]
-        pick.append(rng.choice(idx, size=idx.size, replace=True))
-    pick = np.concatenate(pick)
-    snv = dataset.meta["shot_noise_variance"]
-    resampled = HomodyneDataset(dataset.theta_deg[pick], dataset.q[pick], {"shot_noise_variance": snv})
-    tables, _ = _phase_tables(resampled, cfg.cutoff, cfg.bin_width)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonConvergenceWarning)
-        a, diag = tomography._iterate(tables, cfg)
-    return tomography._density(a), diag
+def replica_dataset(dataset, tables, weights, bin_width):
+    """The dataset a replica's weights describe: w_j copies of record j, or,
+    when binned, w_b copies of one record of bin b."""
+    if bin_width is None:
+        records = tables.index
+    else:
+        snv = dataset.meta["shot_noise_variance"]
+        q = dataset.q * float(np.sqrt(SHOT_NOISE_VARIANCE / snv))
+        records = []
+        for t in np.unique(dataset.theta_deg):
+            idx = np.nonzero(dataset.theta_deg == t)[0]
+            _, _, col = dense_bins(q[idx], bin_width)
+            records.append(idx[np.unique(col, return_index=True)[1]])
+        records = np.concatenate(records)
+    pick = np.repeat(records, weights.astype(int))
+    return HomodyneDataset(dataset.theta_deg[pick], dataset.q[pick], dict(dataset.meta))
 
 
 @pytest.mark.parametrize("bin_width", [None, 0.1])
 def test_bootstrap_replicas_match_resampled_datasets(monkeypatch, herald2_state, bin_width):
-    # a replica reweights the full dataset's tables; the oracle rebuilds
-    # them from the resampled records
+    # a replica reweights the full dataset's tables; the oracle fits the
+    # dataset its weights describe from scratch, from the maximally mixed
+    # state as replicas start (a pointwise `mle_reconstruct` would start
+    # from a binned pre-fit)
     ds = synth_dataset(herald2_state, PhasePlan(samples_per_phase=300), seed=31, source_id="h2")
     cfg = MleConfig(cutoff=8, bin_width=bin_width, gap_tolerance=1e-3)
-    seen = []
+    seen, drawn = [], []
     quantities = tomography._replica_quantities
+    reweighted = tomography._PhaseTables.reweighted
 
     def spy(rho):
         seen.append(rho)
         return quantities(rho)
 
+    def spy_weights(tables, weights):
+        drawn.append((tables, weights))
+        return reweighted(tables, weights)
+
     monkeypatch.setattr(tomography, "_replica_quantities", spy)
+    monkeypatch.setattr(tomography._PhaseTables, "reweighted", spy_weights)
     rep = bootstrap(ds, cfg, replicas=4, seed=9)
-    assert rep.successful == 4 and len(seen) == 4
-    oracle = [resampled_replica(ds, cfg, 9, i)[0] for i in range(4)]
+    assert rep.successful == 4 and len(seen) == 4 and len(drawn) == 4
+    phases = np.unique(ds.theta_deg)
+    records = [np.sum(ds.theta_deg == t) for t in phases]
+    oracle = []
+    for tables, weights in drawn:
+        resampled = replica_dataset(ds, tables, weights, bin_width)
+        # each phase's weights sum to its record count
+        assert [np.sum(resampled.theta_deg == t) for t in phases] == records
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonConvergenceWarning)
+            a, _ = tomography._iterate(_phase_tables(resampled, cfg.cutoff, bin_width), cfg)
+        oracle.append(tomography._density(a))
     for got, want in zip(seen, oracle):
         assert np.max(np.abs(got.elements - want.elements)) < 1e-12
     w00 = [origin_parity(rho) for rho in oracle]
@@ -707,7 +718,7 @@ def test_bootstrap_same_seed_same_report():
 def test_bootstrap_counts_failures_by_type(monkeypatch):
     ds = synth_dataset(vacuum_dm(), PhasePlan(samples_per_phase=100), seed=2)
     failing = iter(
-        [ConvergenceError("first"), ConvergenceError("second"), np.linalg.LinAlgError("third")]
+        [DomainError("first"), DomainError("second"), np.linalg.LinAlgError("third")]
     )
 
     def fail(rho):
@@ -717,8 +728,8 @@ def test_bootstrap_counts_failures_by_type(monkeypatch):
     with pytest.raises(BootstrapError) as err:
         bootstrap(ds, MleConfig(cutoff=4, bin_width=0.1), replicas=3)
     message = str(err.value)
-    assert "{'ConvergenceError': 2, 'LinAlgError': 1}" in message
-    assert "first failure: ConvergenceError: first" in message
+    assert "{'DomainError': 2, 'LinAlgError': 1}" in message
+    assert "first failure: DomainError: first" in message
 
 
 def test_bootstrap_propagates_programming_errors(monkeypatch):
