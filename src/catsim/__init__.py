@@ -11,7 +11,6 @@ from .channels import (
 )
 from .fock import (
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     cat_state,

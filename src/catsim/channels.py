@@ -22,7 +22,6 @@ from .errors import (
 from .fock import (
     DEFAULT_TAIL_TOL,
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     squeezed_vacuum,
@@ -108,10 +107,10 @@ def loss_channel(rho: DensityMatrix, eta: float) -> DensityMatrix:
     if eta == 1.0:
         return rho
     out = np.zeros_like(np.asarray(rho.elements))
-    for k_op in _loss_kraus(rho.config.dim, eta):
+    for k_op in _loss_kraus(len(out), eta):
         out += k_op @ rho.elements @ k_op.T
     out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out, rho.config)
+    return DensityMatrix(out)
 
 
 def _bs_amplitudes(c: np.ndarray, reflectivity: float, idler_cutoff: int) -> np.ndarray:
@@ -137,15 +136,14 @@ def _bs_amplitudes(c: np.ndarray, reflectivity: float, idler_cutoff: int) -> np.
     return out
 
 
-@lru_cache(maxsize=None)
-def _povm_diagonal(n: int, eta_i: float, idler_cutoff: int) -> tuple[float, ...]:
+def _povm_diagonal(n: int, eta_i: float, idler_cutoff: int) -> np.ndarray:
     """Diagonal of the POVM element for 'n photons seen by a detector of
     efficiency eta_i': Pi_n = sum_{m>=n} C(m,n)·eta_i^n·(1-eta_i)^{m-n} |m><m|.
     The family n = 0..idler_cutoff sums to the identity on the idler space."""
     diag = np.zeros(idler_cutoff + 1)
     for m in range(n, idler_cutoff + 1):
         diag[m] = math.comb(m, n) * eta_i**n * (1.0 - eta_i) ** (m - n)
-    return tuple(diag)
+    return diag
 
 
 def _tapped_branches(
@@ -177,10 +175,9 @@ def _source_branches(
     cutoff: int, squeeze: SqueezeSpec, opa_loss: float, bs_reflectivity: float,
     idler_cutoff: int, tail_tol: float,
 ) -> tuple[tuple[float, np.ndarray], ...]:
-    config = HilbertConfig(cutoff)
-    psi = squeezed_vacuum(squeeze, config, tail_tol)
+    psi = squeezed_vacuum(squeeze, cutoff, tail_tol)
     rho = np.asarray(loss_channel(psi.to_density(), 1.0 - opa_loss).elements)
-    n = np.arange(config.dim)
+    n = np.arange(cutoff + 1)
     if np.any(rho[(n[:, None] + n[None, :]) % 2 == 1]):
         raise DomainError("the source couples even and odd photon numbers")
     pure = []
@@ -188,13 +185,13 @@ def _source_branches(
         vals, vecs = np.linalg.eigh(rho[np.ix_(block, block)])
         for w, v in zip(vals, vecs.T):
             if w >= _EIGENBRANCH_FLOOR:
-                full = np.zeros(config.dim, dtype=vecs.dtype)
+                full = np.zeros(cutoff + 1, dtype=vecs.dtype)
                 full[block] = v
                 pure.append((float(w), full))
     pure.sort(key=lambda branch: -branch[0])
     branches = []
     for w, v in pure:
-        signal = StateVector.normalize(v, config)
+        signal = StateVector.normalize(v)
         amps = _bs_amplitudes(np.asarray(signal.amplitudes), bs_reflectivity, idler_cutoff)
         amps.setflags(write=False)
         branches.append((w, amps))
@@ -223,13 +220,13 @@ def herald_subtract(params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
     duty cycle.
     """
     branches = _tapped_branches(params, tail_tol)
-    povm = np.array(_povm_diagonal(params.herald_n, params.idler_efficiency, params.idler_cutoff))
+    povm = _povm_diagonal(params.herald_n, params.idler_efficiency, params.idler_cutoff)
     rho_u, prob = _conditioned_signal(branches, povm)
     if prob < 1e-300:
         raise ZeroProbabilityError(
             f"herald probability for n={params.herald_n} underflowed ({prob})"
         )
-    rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, HilbertConfig(params.cutoff))
+    rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob)
     rho = loss_channel(rho, params.signal_efficiency)
     rate = prob * params.rep_rate_hz * params.duty_cycle
     return HeraldResult(state=rho, herald_probability=prob, estimated_rate=rate)
@@ -243,7 +240,7 @@ def herald_probabilities(params: ExperimentParams) -> np.ndarray:
         idler += w * np.sum(np.abs(amps) ** 2, axis=0)
     probs = np.zeros(params.idler_cutoff + 1)
     for n in range(params.idler_cutoff + 1):
-        povm = np.array(_povm_diagonal(n, params.idler_efficiency, params.idler_cutoff))
+        povm = _povm_diagonal(n, params.idler_efficiency, params.idler_cutoff)
         probs[n] = float(np.dot(povm, idler))
     return probs
 
@@ -259,6 +256,6 @@ def count_rate_table(params: ExperimentParams, n_max: int) -> list[tuple[int, fl
 
 def input_state(params: ExperimentParams) -> DensityMatrix:
     """The unconditioned source as seen by the measurement chain (tap fully closed)."""
-    psi = squeezed_vacuum(params.squeeze, HilbertConfig(params.cutoff))
+    psi = squeezed_vacuum(params.squeeze, params.cutoff)
     rho = loss_channel(psi.to_density(), 1.0 - params.opa_loss)
     return loss_channel(rho, params.signal_efficiency)

@@ -78,8 +78,8 @@ class CatSpec:
     loss: float = 0.3
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and 0.0 <= self.loss <= 1.0):
-            raise ConfigError(f"cat needs a finite alpha and a loss in [0, 1], got {self}")
+        if not (cmath.isfinite(self.alpha) and self.alpha != 0 and 0.0 <= self.loss <= 1.0):
+            raise ConfigError(f"cat needs a finite nonzero alpha and a loss in [0, 1], got {self}")
 
     @property
     def alpha(self) -> complex:
@@ -125,6 +125,8 @@ class RunConfig:
             raise ConfigError(f"mode must be {SUBTRACTION_MODE!r} or {CAT_PANELS_MODE!r}")
         if self.bootstrap_replicas < 2:
             raise ConfigError("bootstrap_replicas must be >= 2")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         return replace(self, seed=int(seed))

@@ -1,5 +1,8 @@
 """Truncated Fock-basis states, elementary operators, and scalar metrics.
 
+A state holds only its array on Fock indices 0..cutoff; constructors take
+the cutoff as an int, and `DensityMatrix.config` derives it from the array.
+
 Conventions used throughout the package (hbar = 1):
   x = (a + a†)/√2,  p = (a − a†)/(i√2),  [x, p] = i, vacuum variance 1/2.
 The quadrature eigenfunction at angle theta is expanded as
@@ -39,14 +42,6 @@ class HilbertConfig:
 
     cutoff: int
 
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise DomainError(f"cutoff must be >= 1, got {self.cutoff}")
-
-    @property
-    def dim(self) -> int:
-        return self.cutoff + 1
-
 
 @dataclass(frozen=True)
 class SqueezeSpec:
@@ -77,34 +72,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_shape(shape: tuple[int, ...], axes: int) -> None:
+    """A state array has `axes` axes of one length dim = cutoff + 1 >= 2."""
+    if len(shape) != axes or len(set(shape)) != 1:
+        raise DimensionMismatch(f"state array has shape {shape}, expected {axes} equal axes")
+    if shape[0] < 2:
+        raise DomainError(f"cutoff must be >= 1, got {shape[0] - 1}")
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state amplitudes c_n with unit norm in a truncated Fock basis."""
 
     amplitudes: np.ndarray
-    config: HilbertConfig
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.config.dim,):
-            raise DimensionMismatch(
-                f"amplitude vector has shape {amps.shape}, expected ({self.config.dim},)"
-            )
+        _check_shape(amps.shape, 1)
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
     @classmethod
-    def normalize(cls, amplitudes: np.ndarray, config: HilbertConfig) -> "StateVector":
+    def normalize(cls, amplitudes: np.ndarray) -> "StateVector":
         amps = np.asarray(amplitudes, dtype=complex)
         norm = np.linalg.norm(amps)
         if norm == 0.0:
             raise ZeroStateError("cannot normalize the zero vector")
-        return cls(amps / norm, config)
+        return cls(amps / norm)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.config)
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
@@ -112,13 +111,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix rho_{n,m}."""
 
     elements: np.ndarray
-    config: HilbertConfig
 
     def __post_init__(self):
         rho = np.asarray(self.elements, dtype=complex)
-        d = self.config.dim
-        if rho.shape != (d, d):
-            raise DimensionMismatch(f"matrix has shape {rho.shape}, expected ({d}, {d})")
+        _check_shape(rho.shape, 2)
         herm = np.max(np.abs(rho - rho.conj().T))
         if not herm <= HERMITICITY_TOL:  # NaN too
             raise DomainError(f"matrix deviates from Hermitian by {herm}")
@@ -131,22 +127,25 @@ class DensityMatrix:
         object.__setattr__(self, "elements", _readonly(rho))
 
     @property
+    def config(self) -> HilbertConfig:
+        return HilbertConfig(len(self.elements) - 1)
+
+    @property
     def diagonal(self) -> np.ndarray:
         return self.elements.diagonal().real
 
     def embed(self, cutoff: int) -> "DensityMatrix":
         """Pad with zero rows/columns up to a larger cutoff (trace preserved)."""
-        if cutoff < self.config.cutoff:
-            raise DomainError(
-                f"embed target cutoff {cutoff} is below the current {self.config.cutoff}"
-            )
+        d = len(self.elements)
+        if cutoff < d - 1:
+            raise DomainError(f"embed target cutoff {cutoff} is below the current {d - 1}")
         out = np.zeros((cutoff + 1, cutoff + 1), dtype=complex)
-        out[: self.config.dim, : self.config.dim] = self.elements
-        return DensityMatrix(out, HilbertConfig(cutoff))
+        out[:d, :d] = self.elements
+        return DensityMatrix(out)
 
     def to_dict(self) -> dict:
         return {
-            "cutoff": self.config.cutoff,
+            "cutoff": len(self.elements) - 1,
             "re": self.elements.real.tolist(),
             "im": self.elements.imag.tolist(),
         }
@@ -155,7 +154,9 @@ class DensityMatrix:
     def from_dict(cls, payload: dict) -> "DensityMatrix":
         cutoff = int(payload["cutoff"])
         rho = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        return cls(rho, HilbertConfig(cutoff))
+        if rho.shape[:1] != (cutoff + 1,):
+            raise DimensionMismatch(f"cutoff {cutoff} does not fit a matrix of shape {rho.shape}")
+        return cls(rho)
 
 
 def save_density_matrix(rho: DensityMatrix, path: str | Path) -> None:
@@ -180,7 +181,7 @@ def _check_tail(tail: float, tail_tol: float, what: str) -> None:
 
 
 def squeezed_vacuum(
-    spec: SqueezeSpec, config: HilbertConfig, tail_tol: float = DEFAULT_TAIL_TOL
+    spec: SqueezeSpec, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> StateVector:
     """Squeezed vacuum with the position quadrature squeezed below 1/2.
 
@@ -189,7 +190,7 @@ def squeezed_vacuum(
     states develop their two lobes along p.
     """
     r = spec.r
-    d = config.dim
+    d = cutoff + 1
     amps = np.zeros(d, dtype=complex)
     amps[0] = 1.0
     t = math.tanh(r)
@@ -198,8 +199,8 @@ def squeezed_vacuum(
         amps[2 * k] = -t * math.sqrt((2 * k - 1) / (2 * k)) * amps[2 * k - 2]
     amps /= math.sqrt(math.cosh(r))  # exact untruncated normalization
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    _check_tail(tail, tail_tol, f"squeezed_vacuum(r={r:.4g}, cutoff={config.cutoff})")
-    return StateVector.normalize(amps, config)
+    _check_tail(tail, tail_tol, f"squeezed_vacuum(r={r:.4g}, cutoff={cutoff})")
+    return StateVector.normalize(amps)
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
@@ -212,19 +213,19 @@ def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
 
 
 def coherent_state(
-    alpha: complex, config: HilbertConfig, tail_tol: float = DEFAULT_TAIL_TOL
+    alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> StateVector:
     """Coherent state |alpha>, renormalized after truncation."""
-    c = _coherent_amplitudes(complex(alpha), config.dim)
+    c = _coherent_amplitudes(complex(alpha), cutoff + 1)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    _check_tail(tail, tail_tol, f"coherent_state(|alpha|={abs(alpha):.4g}, cutoff={config.cutoff})")
-    return StateVector.normalize(c, config)
+    _check_tail(tail, tail_tol, f"coherent_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
+    return StateVector.normalize(c)
 
 
 def cat_state(
     alpha: complex,
     parity: Literal["even", "odd"],
-    config: HilbertConfig,
+    cutoff: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> StateVector:
     """Normalized |alpha> ± |-alpha| superposition.
@@ -238,32 +239,32 @@ def cat_state(
     sign = 1.0 if parity == "even" else -1.0
     if parity == "odd" and alpha == 0:
         raise DomainError("odd cat state is undefined at alpha = 0")
-    c = _coherent_amplitudes(alpha, config.dim)
-    n = np.arange(config.dim)
+    c = _coherent_amplitudes(alpha, cutoff + 1)
+    n = np.arange(cutoff + 1)
     raw = c * (1.0 + sign * (-1.0) ** n)
     # exact norm of |a> ± |-a> is 2(1 ± e^{-2|a|^2}); tail measured against it
     norm2_exact = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
     tail = max(0.0, 1.0 - float(np.sum(np.abs(raw) ** 2)) / norm2_exact)
-    _check_tail(tail, tail_tol, f"cat_state(|alpha|={abs(alpha):.4g}, cutoff={config.cutoff})")
-    return StateVector.normalize(raw, config)
+    _check_tail(tail, tail_tol, f"cat_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
+    return StateVector.normalize(raw)
 
 
 def mixed_coherent(
-    alpha: complex, config: HilbertConfig, tail_tol: float = DEFAULT_TAIL_TOL
+    alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> DensityMatrix:
     """Equal-weight classical mixture of |alpha><alpha| and |-alpha><-alpha|."""
-    plus = coherent_state(alpha, config, tail_tol)
-    minus = coherent_state(-alpha, config, tail_tol)
+    plus = coherent_state(alpha, cutoff, tail_tol)
+    minus = coherent_state(-alpha, cutoff, tail_tol)
     rho = 0.5 * (
         np.outer(plus.amplitudes, plus.amplitudes.conj())
         + np.outer(minus.amplitudes, minus.amplitudes.conj())
     )
-    return DensityMatrix(rho, config)
+    return DensityMatrix(rho)
 
 
 def mean_photon(rho: DensityMatrix) -> float:
     """Sum of n·rho_{n,n}."""
-    return float(np.sum(np.arange(rho.config.dim) * rho.diagonal))
+    return float(np.sum(np.arange(len(rho.diagonal)) * rho.diagonal))
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -274,7 +275,7 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
 
 def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a)·b·sqrt(a)))^2, clipped to [0, 1]."""
-    if a.config != b.config:
+    if a.elements.shape != b.elements.shape:
         raise DimensionMismatch("density matrices live in different truncated spaces")
     sa = _sqrtm_psd(a.elements)
     inner = sa @ b.elements @ sa

@@ -245,7 +245,7 @@ def marginal_sweep(rho: DensityMatrix, angles_deg: np.ndarray, axis: np.ndarray)
 
 def origin_parity(rho: DensityMatrix) -> float:
     """(1/pi)·sum_n (-1)^n rho_{n,n}; equals the Wigner function at the origin."""
-    signs = (-1.0) ** np.arange(rho.config.dim)
+    signs = (-1.0) ** np.arange(len(rho.diagonal))
     return float(np.dot(signs, rho.diagonal) / np.pi)
 
 

@@ -24,7 +24,6 @@ from .errors import ConfigError, MissingInputError, ParseError, SchemaError
 from .export import fields, read_json, write_rows
 from .fock import (
     DensityMatrix,
-    HilbertConfig,
     cat_state,
     fidelity,
     load_density_matrix,
@@ -154,14 +153,13 @@ def state_names(cfg: RunConfig) -> list[str]:
 
 def _build_states(cfg: RunConfig) -> dict[str, DensityMatrix]:
     if cfg.mode == CAT_PANELS_MODE:
-        config = HilbertConfig(cfg.experiment.cutoff)
-        alpha = cfg.cat.alpha
-        even = cat_state(alpha, "even", config).to_density()
+        alpha, cutoff = cfg.cat.alpha, cfg.experiment.cutoff
+        even = cat_state(alpha, "even", cutoff).to_density()
         return {
             "cat_even": even,
-            "cat_odd": cat_state(alpha, "odd", config).to_density(),
+            "cat_odd": cat_state(alpha, "odd", cutoff).to_density(),
             "cat_even_lossy": loss_channel(even, 1.0 - cfg.cat.loss),
-            "cat_mixed": mixed_coherent(alpha, config),
+            "cat_mixed": mixed_coherent(alpha, cutoff),
         }
     states: dict[str, DensityMatrix] = {"input": input_state(cfg.experiment)}
     for n in range(cfg.experiment.herald_n + 1):
@@ -287,7 +285,7 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
     for i, name in enumerate(state_names(cfg)):
         sim = load_density_matrix(_input(out, "simulate", f"states/{name}/density_matrix.json"))
         rec = load_density_matrix(_input(out, "reconstruct", f"recon/{name}/density_matrix.json"))
-        common = max(sim.config.cutoff, rec.config.cutoff)
+        common = max(len(sim.diagonal), len(rec.diagonal)) - 1
         ds = load_dataset(_input(out, "sample", f"datasets/{name}.csv"))
         seed = _stage_seed(cfg.seed, "bootstrap", i)
         rep = bootstrap(ds, cfg.mle, replicas=cfg.bootstrap_replicas, seed=seed)

@@ -54,7 +54,7 @@ from .errors import (
     NonConvergenceWarning,
     SingularLikelihoodError,
 )
-from .fock import DensityMatrix, HilbertConfig, _phase_factors, mean_photon
+from .fock import DensityMatrix, _phase_factors, mean_photon
 from .fock import quadrature_basis  # noqa: F401  (benchmarks/tracing.py patches this name)
 from .phasespace import (
     _coefficients,
@@ -75,6 +75,11 @@ _LL_RESOLUTION = 1e-12  # a gain below this fraction of |LL| may be round-off
 # Bin width, in vacuum units, of the binned pre-fit that starts a pointwise
 # fit: of 0.02, 0.05 and 0.1, 0.05 gave the fastest pointwise fits (BENCH_22.json).
 _PREFIT_BIN_WIDTH = 0.05
+_SINGLE_PHASE = (
+    "dataset contains a single phase: off-diagonal elements are not "
+    "identifiable; the reconstruction is reliable only on the diagonal "
+    "of the measured quadrature"
+)
 
 
 @dataclass(frozen=True)
@@ -325,17 +330,9 @@ def _line_search(
 def _iterate(
     tables: _PhaseTables, cfg: MleConfig, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, dict]:
-    """L-BFGS on the factor A of rho from `start`, by default I/sqrt(dim);
-    returns the last A and the diagnostics. See `mle_reconstruct`."""
-    diag_warnings: list[str] = []
-    if len(tables.phases) < 2:
-        msg = (
-            "dataset contains a single phase: off-diagonal elements are not "
-            "identifiable; the reconstruction is reliable only on the diagonal "
-            "of the measured quadrature"
-        )
-        warnings.warn(msg, IdentifiabilityWarning)
-        diag_warnings.append(msg)
+    """L-BFGS on the factor A of rho from `start`, by default I/sqrt(dim); returns
+    the last A and the diagnostics, warnings recorded, not raised. See `mle_reconstruct`."""
+    diag_warnings = [_SINGLE_PHASE] if len(tables.phases) < 2 else []
     dim = cfg.cutoff + 1
     total = float(tables.weights.sum())
     if start is None:
@@ -380,9 +377,9 @@ def _iterate(
         step, a, ll = _real(new_a - a), new_a, new_ll
         history.append(ll)
     if not converged:
-        msg = f"{stop} with the likelihood gap at {gap:.3g} > {cfg.gap_tolerance:g} nats"
-        warnings.warn(msg, NonConvergenceWarning)
-        diag_warnings.append(msg)
+        diag_warnings.append(
+            f"{stop} with the likelihood gap at {gap:.3g} > {cfg.gap_tolerance:g} nats"
+        )
     diagnostics = {
         "iterations": len(history),
         "final_log_likelihood": ll,
@@ -395,6 +392,13 @@ def _iterate(
     return a, diagnostics
 
 
+def _warn(diagnostics: dict) -> None:
+    """Warn each message `_iterate` recorded, once."""
+    for msg in diagnostics["warnings"]:
+        category = IdentifiabilityWarning if msg == _SINGLE_PHASE else NonConvergenceWarning
+        warnings.warn(msg, category)
+
+
 def _mixed_factor(dim: int) -> np.ndarray:
     """A = I/sqrt(dim), the factor of the maximally mixed state."""
     return np.eye(dim, dtype=complex) / np.sqrt(dim)
@@ -402,7 +406,7 @@ def _mixed_factor(dim: int) -> np.ndarray:
 
 def _density(a: np.ndarray) -> DensityMatrix:
     """The state A A^†/Tr(A A^†) of a factor."""
-    return DensityMatrix(_state(a), HilbertConfig(a.shape[0] - 1))
+    return DensityMatrix(_state(a))
 
 
 def _prefit(
@@ -410,14 +414,10 @@ def _prefit(
 ) -> tuple[np.ndarray | None, int]:
     """The factor A of a binned fit of the same records, and its iteration
     count; (None, 0) if that fit fails or leaves a record of `tables` with a
-    vanishing probability. The binned fit's own warnings are dropped: the
-    pointwise fit gives its own."""
+    vanishing probability. Its warnings are dropped: the pointwise fit gives its own."""
     try:
         binned = _phase_tables(dataset, cfg.cutoff, _PREFIT_BIN_WIDTH)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IdentifiabilityWarning)
-            warnings.simplefilter("ignore", NonConvergenceWarning)
-            a, diag = _iterate(binned, cfg)
+        a, diag = _iterate(binned, cfg)
     except (CatsimError, np.linalg.LinAlgError):
         return None, 0
     if np.any(tables.probabilities(_state(a)) <= _PROB_FLOOR):
@@ -446,6 +446,7 @@ def mle_reconstruct(
         tables.log_likelihood(_state(_mixed_factor(cfg.cutoff + 1)), "at the maximally mixed start")
         start, prefit_iterations = _prefit(dataset, tables, cfg)
     a, diagnostics = _iterate(tables, cfg, start)
+    _warn(diagnostics)
     diagnostics["prefit_iterations"] = prefit_iterations
     return _density(a), diagnostics
 
@@ -470,11 +471,14 @@ def bootstrap(
     (Efron and Tibshirani, An Introduction to the Bootstrap, 1993). Replicas
     run in turn, each from its own seed, so the report depends only on
     `seed`. A replica that fails with a CatsimError or LinAlgError is
-    counted and skipped; at least 90% must succeed.
+    counted and skipped; at least 90% must succeed. A single-phase dataset
+    warns once; an unconverged replica is counted, not warned.
     """
     if replicas < 2:
         raise DomainError("replicas must be >= 2")
     tables = _phase_tables(dataset, cfg.cutoff, cfg.bin_width)
+    if len(tables.phases) < 2:
+        warnings.warn(_SINGLE_PHASE, IdentifiabilityWarning)
     draws = [(int(w.sum()), w / w.sum()) for w in (tables.weights[c] for c in tables.columns)]
     results: list[dict] = []
     runs: list[dict] = []
@@ -484,9 +488,7 @@ def bootstrap(
         rng = np.random.default_rng(int(ss.generate_state(1)[0]))
         weights = np.concatenate([rng.multinomial(n, p) for n, p in draws]).astype(float)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", NonConvergenceWarning)
-                a, run = _iterate(tables.reweighted(weights), cfg)
+            a, run = _iterate(tables.reweighted(weights), cfg)
             results.append(_replica_quantities(_density(a)))
             runs.append(run)
         except (CatsimError, np.linalg.LinAlgError) as exc:

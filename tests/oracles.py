@@ -67,7 +67,7 @@ def wigner_integral_oracle(rho: DensityMatrix, x: float, p: float) -> float:
     at theta = pi/2; the trapezoid grid is refined until two successive
     refinements agree to 1e-8.
     """
-    dim = rho.config.dim
+    dim = len(rho.diagonal)
     half_width = np.sqrt(2.0 * rho.config.cutoff + 1.0) + 6.0 + abs(p)
     rho_m = np.asarray(rho.elements)
     previous = None
@@ -123,14 +123,14 @@ def apply_annihilation(state: StateVector) -> tuple[StateVector, float]:
     (StateVector.normalize refuses a|0> = 0)."""
     c = state.amplitudes
     lowered = np.append(np.sqrt(np.arange(1, c.size)) * c[1:], 0.0)
-    return StateVector.normalize(lowered, state.config), float(np.vdot(lowered, lowered).real)
+    return StateVector.normalize(lowered), float(np.vdot(lowered, lowered).real)
 
 
 def phase_rotated(rho: DensityMatrix, theta: float) -> DensityMatrix:
     """e^{-i·theta·n} rho e^{+i·theta·n}: measured at phase 0 it gives the
     quadrature statistics of rho at phase theta."""
-    u = np.exp(1j * theta * np.arange(rho.config.dim))
-    return DensityMatrix(u.conj()[:, None] * rho.elements * u[None, :], rho.config)
+    u = np.exp(1j * theta * np.arange(len(rho.diagonal)))
+    return DensityMatrix(u.conj()[:, None] * rho.elements * u[None, :])
 
 
 def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:

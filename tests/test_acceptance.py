@@ -24,7 +24,6 @@ from catsim.channels import (
 from catsim.errors import NonConvergenceWarning
 from catsim.fock import (
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     cat_state,
     fidelity,
@@ -123,10 +122,9 @@ def test_criterion_04_cat_coherence_signature(herald_states):
 def test_criterion_05_cat_panels():
     t0 = time.time()
     failures = []
-    cfg = HilbertConfig(30)
     alpha = 2.5j
-    even = cat_state(alpha, "even", cfg).to_density()
-    odd = cat_state(alpha, "odd", cfg).to_density()
+    even = cat_state(alpha, "even", 30).to_density()
+    odd = cat_state(alpha, "odd", 30).to_density()
     if abs(origin_parity(even) - 1 / math.pi) > 1e-6:
         failures.append(f"even cat W(0,0)={origin_parity(even):.8f} vs +1/pi beyond 1e-6")
     if abs(origin_parity(odd) + 1 / math.pi) > 1e-6:
@@ -135,7 +133,7 @@ def test_criterion_05_cat_panels():
     lossy = abs(coherence_peak(loss_channel(even, 0.7)).off_diagonal_value)
     if not lossy < ideal:
         failures.append(f"loss did not reduce the peak off-diagonal: {lossy} vs {ideal}")
-    mixed = coherence_peak(mixed_coherent(alpha, cfg))
+    mixed = coherence_peak(mixed_coherent(alpha, 30))
     if not abs(mixed.off_diagonal_value) < 0.02 * mixed.diagonal_value:
         failures.append(
             f"mixture off-diagonal {mixed.off_diagonal_value:+.2e} above 2% of the peak"
@@ -191,7 +189,7 @@ def test_criterion_08_cross_method_oracle():
         a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         rho_m = a @ a.conj().T
         rho_m /= np.trace(rho_m).real
-        rho = DensityMatrix(rho_m, HilbertConfig(8))
+        rho = DensityMatrix(rho_m)
         pts = rng.normal(scale=1.3, size=(25, 2))
         for x, p in pts:
             direct = wigner(rho, [x], [p]).values[0, 0]
@@ -208,7 +206,7 @@ def test_criterion_08_cross_method_oracle():
         a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
         rho_m = a @ a.conj().T
         rho_m /= np.trace(rho_m).real
-        rho = DensityMatrix(rho_m, HilbertConfig(6))
+        rho = DensityMatrix(rho_m)
         for theta in (0.0, 0.6, math.pi / 2, -0.8):
             pdf = marginal(rho, theta, qs)
             proj = np.empty_like(qs)
@@ -226,8 +224,7 @@ def test_criterion_09_channel_algebra():
     t0 = time.time()
     failures = []
     # loss composition
-    cfg = HilbertConfig(12)
-    rho = squeezed_vacuum(SqueezeSpec(0.5), cfg, tail_tol=1e-3).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.5), 12, tail_tol=1e-3).to_density()
     a = loss_channel(loss_channel(rho, 0.8), 0.55)
     b = loss_channel(rho, 0.8 * 0.55)
     err = float(np.max(np.abs(a.elements - b.elements)))
@@ -237,12 +234,12 @@ def test_criterion_09_channel_algebra():
     # POVM route equals idler-loss-channel route at cutoff 8, on the
     # beam-splitter amplitudes and POVM diagonal that herald_subtract uses
     eta_i = 0.4
-    sv = squeezed_vacuum(SqueezeSpec(0.4), HilbertConfig(8), tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 8, tail_tol=1e-3)
     amps = _bs_amplitudes(np.asarray(sv.amplitudes), 0.8, 8)
     lossy = idler_loss(amps, eta_i)
     for n in range(4):
         channel_route = lossy[:, n, :, n]
-        povm_route = (amps * np.array(_povm_diagonal(n, eta_i, 8))) @ amps.conj().T
+        povm_route = (amps * _povm_diagonal(n, eta_i, 8)) @ amps.conj().T
         err = float(np.max(np.abs(channel_route - povm_route)))
         if err > 1e-10:
             failures.append(f"POVM/channel mismatch {err:.2e} for n={n}")

@@ -24,7 +24,6 @@ from catsim.config import RunConfig
 from catsim.errors import DomainError, TruncationBudgetError, ZeroProbabilityError
 from catsim.fock import (
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     coherent_state,
@@ -37,10 +36,10 @@ PAPER = ExperimentParams()
 UNIT = st.floats(0.0, 1.0)
 
 
-def fock_state(n, cfg):
-    amps = np.zeros(cfg.dim)
+def fock_state(n, cutoff):
+    amps = np.zeros(cutoff + 1)
     amps[n] = 1.0
-    return StateVector(amps, cfg)
+    return StateVector(amps)
 
 
 # ---------------------------------------------------------------- params
@@ -90,8 +89,7 @@ def test_paper_defaults():
 
 
 def test_loss_identity_and_total_loss():
-    cfg = HilbertConfig(8)
-    sv = squeezed_vacuum(SqueezeSpec(0.3), cfg, tail_tol=1e-4)
+    sv = squeezed_vacuum(SqueezeSpec(0.3), 8, tail_tol=1e-4)
     rho = sv.to_density()
     out = loss_channel(rho, 1.0)
     assert np.allclose(out.elements, rho.elements)
@@ -102,8 +100,7 @@ def test_loss_identity_and_total_loss():
 
 def test_loss_single_photon_two_kraus_oracle():
     # K_0 = diag(1, sqrt(eta)); K_1 = sqrt(1-eta)|0><1|: by hand diag(0.15, 0.85)
-    cfg = HilbertConfig(1)
-    one = fock_state(1, cfg).to_density()
+    one = fock_state(1, 1).to_density()
     out = loss_channel(one, 0.85)
     assert np.allclose(out.elements, np.diag([0.15, 0.85]), atol=1e-14)
 
@@ -113,7 +110,7 @@ def test_loss_trace_preserving():
     a = rng.normal(size=(13, 13)) + 1j * rng.normal(size=(13, 13))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    dm = DensityMatrix(rho, HilbertConfig(12))
+    dm = DensityMatrix(rho)
     for eta in (0.0, 0.25, 0.6, 0.93, 1.0):
         out = loss_channel(dm, eta)
         assert np.trace(out.elements).real == pytest.approx(1.0, abs=1e-10)
@@ -122,15 +119,14 @@ def test_loss_trace_preserving():
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.0, 0.8), eta1=UNIT, eta2=UNIT)
 def test_loss_composition_identity(r, eta1, eta2):
-    rho = squeezed_vacuum(SqueezeSpec(r), HilbertConfig(12), tail_tol=1e-2).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(r), 12, tail_tol=1e-2).to_density()
     a = loss_channel(loss_channel(rho, eta1), eta2)
     b = loss_channel(rho, eta1 * eta2)
     assert np.max(np.abs(a.elements - b.elements)) < 1e-10
 
 
 def test_loss_rejects_bad_eta():
-    cfg = HilbertConfig(2)
-    rho = fock_state(0, cfg).to_density()
+    rho = fock_state(0, 2).to_density()
     with pytest.raises(DomainError):
         loss_channel(rho, 1.5)
 
@@ -143,15 +139,14 @@ def split(state, reflectivity, idler_cutoff):
 
 
 def test_beamsplitter_full_reflection():
-    cfg = HilbertConfig(6)
-    sv = squeezed_vacuum(SqueezeSpec(0.2), cfg, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.2), 6, tail_tol=1e-3)
     amps = split(sv, 1.0, 4)
     assert np.allclose(amps[:, 0], sv.amplitudes)
     assert np.all(amps[:, 1:] == 0)
 
 
 def test_beamsplitter_single_photon_split():
-    probs = np.abs(split(fock_state(1, HilbertConfig(3)), 0.81, 3)) ** 2
+    probs = np.abs(split(fock_state(1, 3), 0.81, 3)) ** 2
     assert probs[1, 0] == pytest.approx(0.81, abs=1e-14)
     assert probs[0, 1] == pytest.approx(0.19, abs=1e-14)
 
@@ -159,7 +154,7 @@ def test_beamsplitter_single_photon_split():
 def test_beamsplitter_matches_the_50_50_oracle():
     # |n, 0> -> sum_s <s, n-s| BS |n, 0> |s, n-s>, the signal keeping s photons
     for n in range(11):
-        amps = split(fock_state(n, HilbertConfig(10)), 0.5, 10)
+        amps = split(fock_state(n, 10), 0.5, 10)
         want = np.zeros(amps.shape)
         for s in range(n + 1):
             want[s, n - s] = beam_splitter_amplitude(n, 0, s)
@@ -167,12 +162,11 @@ def test_beamsplitter_matches_the_50_50_oracle():
 
 
 def test_beamsplitter_conserves_total_photon_number():
-    cfg = HilbertConfig(8)
-    sv = squeezed_vacuum(SqueezeSpec(0.4), cfg, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 8, tail_tol=1e-3)
     for refl in (0.3, 0.81, 0.97):
         amps = split(sv, refl, 8)
-        total = np.add.outer(np.arange(cfg.dim), np.arange(9)).ravel()
-        marg = np.bincount(total, (np.abs(amps) ** 2).ravel())[: cfg.dim]
+        total = np.add.outer(np.arange(9), np.arange(9)).ravel()
+        marg = np.bincount(total, (np.abs(amps) ** 2).ravel())[:9]
         assert np.max(np.abs(marg - np.abs(sv.amplitudes) ** 2)) < 1e-10
 
 
@@ -184,18 +178,14 @@ def test_beamsplitter_budget():
 # ---------------------------------------------------------------- POVM
 
 
-def povm(n, eta_i, idler_cutoff):
-    return np.array(_povm_diagonal(n, eta_i, idler_cutoff))
-
-
 def test_povm_perfect_detector():
     for n in range(3):
-        assert np.array_equal(povm(n, 1.0, 6), np.eye(7)[n])
+        assert np.array_equal(_povm_diagonal(n, 1.0, 6), np.eye(7)[n])
 
 
 def test_povm_binomial_table():
-    assert np.allclose(povm(0, 0.4, 6)[:4], [1.0, 0.6, 0.36, 0.216], atol=1e-14)
-    pi_1 = povm(1, 0.4, 6)
+    assert np.allclose(_povm_diagonal(0, 0.4, 6)[:4], [1.0, 0.6, 0.36, 0.216], atol=1e-14)
+    pi_1 = _povm_diagonal(1, 0.4, 6)
     # C(m,1)·0.4·0.6^{m-1}
     assert pi_1[1] == pytest.approx(0.4)
     assert pi_1[2] == pytest.approx(2 * 0.4 * 0.6)
@@ -204,12 +194,12 @@ def test_povm_binomial_table():
 
 @given(eta=UNIT, idler_cutoff=st.integers(1, 40))
 def test_povm_completeness(eta, idler_cutoff):
-    total = sum(povm(n, eta, idler_cutoff) for n in range(idler_cutoff + 1))
+    total = sum(_povm_diagonal(n, eta, idler_cutoff) for n in range(idler_cutoff + 1))
     assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
 def test_povm_bounds_and_errors():
-    d = povm(2, 0.4, 8)
+    d = _povm_diagonal(2, 0.4, 8)
     assert np.all(d >= 0) and np.all(d <= 1)
     # herald number and efficiency are checked once, where the parameters are made
     ExperimentParams(herald_n=8, idler_cutoff=8)
@@ -234,7 +224,7 @@ def test_herald_trivial_passthrough():
     )
     res = herald_subtract(params)
     assert res.herald_probability == pytest.approx(1.0, abs=1e-12)
-    sv = squeezed_vacuum(SqueezeSpec(0.4), HilbertConfig(16))
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 16)
     assert fidelity(res.state, sv.to_density()) > 1 - 1e-12
 
 
@@ -273,18 +263,17 @@ def test_herald_lossless_single_subtraction_oracles():
         idler_cutoff=8,
     )
     res = herald_subtract(params, tail_tol=1e-4)
-    cfg = HilbertConfig(8)
 
     # oracle 1: brute-force projection of the joint state
-    sv = squeezed_vacuum(SqueezeSpec(r), cfg, tail_tol=1e-4)
+    sv = squeezed_vacuum(SqueezeSpec(r), 8, tail_tol=1e-4)
     c_proj, _ = brute_force_two_mode_projection(np.asarray(sv.amplitudes), refl, 1)
-    brute = StateVector(c_proj, cfg).to_density()
+    brute = StateVector(c_proj).to_density()
     assert fidelity(res.state, brute) > 1 - 1e-8
 
     # oracle 2: annihilation applied to the re-squeezed signal-arm state,
     # tanh r' = R tanh r
     r_eff = math.atanh(refl * math.tanh(r))
-    resq = squeezed_vacuum(SqueezeSpec(r_eff), cfg, tail_tol=1e-4)
+    resq = squeezed_vacuum(SqueezeSpec(r_eff), 8, tail_tol=1e-4)
     sub, _ = apply_annihilation(resq)
     assert fidelity(res.state, sub.to_density()) > 1 - 1e-8
 
@@ -324,23 +313,23 @@ def odd_elements(rho):
 
 def full_eigh_herald(params):
     """Oracle: herald states and idler probabilities from one eigh of the whole source."""
-    cfg = HilbertConfig(params.cutoff)
-    source = loss_channel(squeezed_vacuum(params.squeeze, cfg).to_density(), 1.0 - params.opa_loss)
+    source = squeezed_vacuum(params.squeeze, params.cutoff).to_density()
+    source = loss_channel(source, 1.0 - params.opa_loss)
     vals, vecs = np.linalg.eigh(np.asarray(source.elements))
     branches = [
-        (w, split(StateVector.normalize(v, cfg), params.bs_reflectivity, params.idler_cutoff))
+        (w, split(StateVector.normalize(v), params.bs_reflectivity, params.idler_cutoff))
         for w, v in zip(vals, vecs.T)
         if w >= 1e-15
     ]
     idler = sum(w * np.sum(np.abs(a) ** 2, axis=0) for w, a in branches)
     states, probs = [], []
     for n in range(params.idler_cutoff + 1):
-        pi_n = povm(n, params.idler_efficiency, params.idler_cutoff)
+        pi_n = _povm_diagonal(n, params.idler_efficiency, params.idler_cutoff)
         probs.append(float(pi_n @ idler))
         rho_u = sum(w * (a * pi_n) @ a.conj().T for w, a in branches)
         prob = np.trace(rho_u).real
         if prob > 1e-300:
-            rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob, cfg)
+            rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob)
             states.append(np.asarray(loss_channel(rho, params.signal_efficiency).elements))
         else:
             states.append(None)
@@ -363,7 +352,7 @@ def test_herald_states_are_parity_exact_and_match_full_eigh(params):
 
 def test_source_coupling_parities_is_refused(monkeypatch):
     monkeypatch.setattr(
-        channels, "squeezed_vacuum", lambda spec, cfg, tail_tol: coherent_state(0.5, cfg)
+        channels, "squeezed_vacuum", lambda spec, cutoff, tail_tol: coherent_state(0.5, cutoff)
     )
     channels._source_branches.cache_clear()  # build the branches from the patched source
     with pytest.raises(DomainError, match="even and odd"):
@@ -373,11 +362,11 @@ def test_source_coupling_parities_is_refused(monkeypatch):
 def test_povm_equals_idler_loss_channel():
     # brute force at cutoff 8: idler loss as a Kraus channel then an ideal
     # |n><n| projection must equal the deformed-POVM shortcut
-    sv = squeezed_vacuum(SqueezeSpec(0.4), HilbertConfig(8), tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 8, tail_tol=1e-3)
     amps = split(sv, 0.8, 8)
     lossy = idler_loss(amps, 0.4)
     for n in range(4):
-        povm_route = (amps * povm(n, 0.4, 8)) @ amps.conj().T
+        povm_route = (amps * _povm_diagonal(n, 0.4, 8)) @ amps.conj().T
         assert np.max(np.abs(lossy[:, n, :, n] - povm_route)) < 1e-10
 
 
@@ -392,7 +381,7 @@ def test_bs_phase_convention_independence():
     refl = 0.75
     theta = math.acos(math.sqrt(refl))
     gen = down.conj().T @ up - down @ up.conj().T
-    sv = squeezed_vacuum(SqueezeSpec(0.35), HilbertConfig(cut), tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.35), cut, tail_tol=1e-3)
     joint_in = np.kron(np.asarray(sv.amplitudes), np.eye(dim)[0])
     for sign in (+1.0, -1.0):
         u = expm(sign * theta * gen)
@@ -470,7 +459,7 @@ def test_herald_zero_probability_error():
 
 def test_input_state_matches_loss_chain():
     rho = input_state(PAPER)
-    sv = squeezed_vacuum(PAPER.squeeze, HilbertConfig(PAPER.cutoff))
+    sv = squeezed_vacuum(PAPER.squeeze, PAPER.cutoff)
     want = loss_channel(loss_channel(sv.to_density(), 0.95), 0.85)
     assert np.max(np.abs(rho.elements - want.elements)) < 1e-12
 

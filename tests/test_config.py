@@ -78,7 +78,9 @@ CONFIGS = st.builds(
         st.integers(3, 10**5),
         POSITIVE,
     ),
-    cat=st.builds(CatSpec, alpha_re=FINITE, alpha_im=FINITE, loss=UNIT),
+    cat=st.tuples(FINITE, FINITE, UNIT)
+    .filter(lambda c: c[:2] != (0, 0))  # CatSpec refuses alpha = 0
+    .map(lambda c: CatSpec(*c)),
     mode=st.sampled_from([SUBTRACTION_MODE, CAT_PANELS_MODE]),
     seed=st.integers(0, 2**64),
     bootstrap_replicas=st.integers(2, 10**6),
@@ -167,6 +169,8 @@ def test_only_cat_and_two_run_keys_may_be_missing(name):
         ("loss", "1.5", "cat needs"),
         ("alpha_re", "nan", "cat needs"),
         ("alpha_im", "-inf", "cat needs"),
+        ("alpha_im", "0.0", "cat needs a finite nonzero alpha"),  # alpha_re is 0.0 too
+        ("seed", "-5", "seed must be >= 0, got -5"),
         ("wigner_max", "inf", "grid bounds must be finite"),
         ("wigner_min", "nan", "grid bounds must be finite"),
         ("quad_min", "-inf", "grid bounds must be finite"),
@@ -188,6 +192,15 @@ def test_non_finite_and_out_of_range_values_are_refused(tmp_path, capsys, key, v
     assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()  # refused before anything is written
+
+
+def test_a_negative_seed_override_is_refused(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        preset("default").with_seed(-1)
+    argv = ["simulate", "--config", "default", "--out", str(tmp_path / "run"), "--seed", "-1"]
+    assert cli_main(argv) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from catsim.errors import (
     DimensionMismatch,
     DomainError,
+    SchemaError,
     TruncationError,
     ZeroStateError,
 )
 from catsim.fock import (
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     _phase_factors,
@@ -28,29 +29,41 @@ from catsim.fock import (
 )
 from oracles import apply_annihilation
 
-CFG = HilbertConfig(30)
+CUTOFF = 30
 R_6P5_DB = 6.5 * math.log(10.0) / 20.0
 
 
-def vacuum(cfg=CFG):
-    amps = np.zeros(cfg.dim)
+def vacuum(cutoff=CUTOFF):
+    amps = np.zeros(cutoff + 1)
     amps[0] = 1.0
-    return StateVector(amps, cfg)
+    return StateVector(amps)
 
 
-def fock(n, cfg=CFG):
-    amps = np.zeros(cfg.dim)
+def fock(n, cutoff=CUTOFF):
+    amps = np.zeros(cutoff + 1)
     amps[n] = 1.0
-    return StateVector(amps, cfg)
+    return StateVector(amps)
 
 
 # ---------------------------------------------------------------- configs
 
 
-def test_hilbert_config_validation():
-    assert HilbertConfig(5).dim == 6
-    with pytest.raises(DomainError):
-        HilbertConfig(0)
+def test_a_state_takes_its_cutoff_from_its_array(tmp_path):
+    assert DensityMatrix(np.diag([1.0, 0, 0, 0, 0, 0])).config.cutoff == 5
+    for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            DensityMatrix(bad)
+    with pytest.raises(DimensionMismatch):
+        StateVector(np.eye(3)[:1])
+    with pytest.raises(DomainError, match="cutoff must be >= 1, got 0"):
+        StateVector(np.ones(1))
+    with pytest.raises(DomainError, match="cutoff must be >= 1, got 0"):
+        DensityMatrix(np.ones((1, 1)))
+    payload = vacuum(6).to_density().to_dict()
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(dict(payload, cutoff=5)))
+    with pytest.raises(SchemaError, match="cutoff 5 does not fit"):
+        load_density_matrix(path)
 
 
 def test_squeeze_spec_db_conversion():
@@ -82,14 +95,14 @@ def squeezed_coeff_oracle(r, k):
 
 
 def test_squeezed_vacuum_identity_case():
-    sv = squeezed_vacuum(SqueezeSpec(0.0), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(0.0), CUTOFF)
     assert sv.amplitudes[0] == pytest.approx(1.0, abs=1e-15)
     assert np.all(np.abs(sv.amplitudes[1:]) == 0.0)
 
 
 def test_squeezed_vacuum_matches_closed_form():
     r = R_6P5_DB
-    sv = squeezed_vacuum(SqueezeSpec(r), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(r), CUTOFF)
     # ratios are free of the post-truncation renormalization
     for k in range(1, 15):
         got = (sv.amplitudes[2 * k] / sv.amplitudes[0]).real
@@ -103,21 +116,21 @@ def test_squeezed_vacuum_matches_closed_form():
 
 
 def test_squeezed_vacuum_even_support():
-    sv = squeezed_vacuum(SqueezeSpec(0.9), HilbertConfig(40))
+    sv = squeezed_vacuum(SqueezeSpec(0.9), 40)
     assert np.all(np.abs(sv.amplitudes[1::2]) < 1e-14)
 
 
 def test_squeezed_vacuum_mean_photon_is_sinh_squared():
     r = R_6P5_DB
-    sv = squeezed_vacuum(SqueezeSpec(r), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(r), CUTOFF)
     assert mean_photon(sv.to_density()) == pytest.approx(math.sinh(r) ** 2, abs=1e-4)
 
 
 def test_squeezed_vacuum_truncation_error():
     with pytest.raises(TruncationError):
-        squeezed_vacuum(SqueezeSpec(1.5), HilbertConfig(8))
+        squeezed_vacuum(SqueezeSpec(1.5), 8)
     # explicit override accepts the tail
-    sv = squeezed_vacuum(SqueezeSpec(1.5), HilbertConfig(8), tail_tol=0.5)
+    sv = squeezed_vacuum(SqueezeSpec(1.5), 8, tail_tol=0.5)
     assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
 
 
@@ -125,46 +138,46 @@ def test_squeezed_vacuum_truncation_error():
 
 
 def test_coherent_state_vacuum_case():
-    st = coherent_state(0.0, CFG)
+    st = coherent_state(0.0, CUTOFF)
     assert st.amplitudes[0] == pytest.approx(1.0)
 
 
 def test_coherent_state_mean_photon():
-    st = coherent_state(2.5j, CFG)
+    st = coherent_state(2.5j, CUTOFF)
     assert mean_photon(st.to_density()) == pytest.approx(6.25, abs=1e-4)
 
 
 def test_coherent_state_opposite_overlap():
     # |<a|-a>| = exp(-2|a|^2); at a = 2.5i the oracle value is 3.7267e-6
-    plus = coherent_state(2.5j, CFG)
-    minus = coherent_state(-2.5j, CFG)
+    plus = coherent_state(2.5j, CUTOFF)
+    minus = coherent_state(-2.5j, CUTOFF)
     assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) == pytest.approx(math.exp(-12.5), rel=1e-3)
 
 
 def test_cat_state_parity_support():
-    even = cat_state(2.5j, "even", CFG)
-    odd = cat_state(2.5j, "odd", CFG)
+    even = cat_state(2.5j, "even", CUTOFF)
+    odd = cat_state(2.5j, "odd", CUTOFF)
     assert np.all(np.abs(even.amplitudes[1::2]) == 0.0)
     assert np.all(np.abs(odd.amplitudes[0::2]) == 0.0)
 
 
 def test_cat_state_small_alpha_limit_is_vacuum():
-    even = cat_state(1e-4, "even", CFG)
+    even = cat_state(1e-4, "even", CUTOFF)
     assert abs(even.amplitudes[0]) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_odd_cat_at_zero_alpha_rejected():
     with pytest.raises(DomainError):
-        cat_state(0.0, "odd", CFG)
+        cat_state(0.0, "odd", CUTOFF)
 
 
 def test_mixed_coherent_vacuum_case():
-    rho = mixed_coherent(0.0, CFG)
+    rho = mixed_coherent(0.0, CUTOFF)
     assert rho.elements[0, 0].real == pytest.approx(1.0)
 
 
 def test_mixed_coherent_purity():
-    rho = mixed_coherent(2.5j, CFG)
+    rho = mixed_coherent(2.5j, CUTOFF)
     purity = np.sum(np.abs(rho.elements) ** 2)
     assert purity == pytest.approx((1.0 + math.exp(-4 * 6.25)) / 2.0, abs=1e-10)
     assert np.trace(rho.elements).real == pytest.approx(1.0, abs=1e-12)
@@ -185,13 +198,13 @@ def test_annihilation_of_vacuum_rejected():
 
 
 def test_annihilation_norm_is_mean_photon():
-    sv = squeezed_vacuum(SqueezeSpec(0.576), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF)
     _, norm2 = apply_annihilation(sv)
     assert norm2 == pytest.approx(mean_photon(sv.to_density()), rel=1e-12)
 
 
 def test_four_annihilations_keep_even_support():
-    st = squeezed_vacuum(SqueezeSpec(0.576), CFG)
+    st = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF)
     parity = 0
     for _ in range(4):
         st, _ = apply_annihilation(st)
@@ -201,7 +214,7 @@ def test_four_annihilations_keep_even_support():
 
 
 def test_annihilation_parity_bookkeeping():
-    st = squeezed_vacuum(SqueezeSpec(0.576), CFG)
+    st = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF)
     for k in range(1, 5):
         st, _ = apply_annihilation(st)
         wrong = st.amplitudes[(1 - k % 2) :: 2] if k % 2 == 1 else st.amplitudes[1::2]
@@ -214,7 +227,7 @@ def test_annihilation_parity_bookkeeping():
 def test_mean_photon_values():
     assert mean_photon(vacuum().to_density()) == 0.0
     r = R_6P5_DB
-    sv = squeezed_vacuum(SqueezeSpec(r), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(r), CUTOFF)
     assert mean_photon(sv.to_density()) == pytest.approx(math.sinh(r) ** 2, abs=1e-4)
 
 
@@ -228,16 +241,15 @@ def test_fidelity_basic_cases():
 
 def test_fidelity_vacuum_vs_lossy_photon():
     # loss eta=0.85 on |1><1| leaves diag(0.15, 0.85); overlap with vacuum = 0.15
-    cfg = HilbertConfig(1)
-    lossy = DensityMatrix(np.diag([0.15, 0.85]).astype(complex), cfg)
+    lossy = DensityMatrix(np.diag([0.15, 0.85]).astype(complex))
     v = np.zeros(2)
     v[0] = 1.0
-    assert fidelity(StateVector(v, cfg).to_density(), lossy) == pytest.approx(0.15, abs=1e-12)
+    assert fidelity(StateVector(v).to_density(), lossy) == pytest.approx(0.15, abs=1e-12)
 
 
 def test_fidelity_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        fidelity(vacuum().to_density(), vacuum(HilbertConfig(5)).to_density())
+        fidelity(vacuum().to_density(), vacuum(5).to_density())
 
 
 # ---------------------------------------------------------------- quadrature wavefunctions
@@ -301,7 +313,7 @@ def test_quadrature_basis_is_hermite_functions_times_phases():
 
 def test_phase_rotation_by_a_quarter_turn_is_exact():
     # a real state with no elements between odd and even n stays exactly real
-    rho = squeezed_vacuum(SqueezeSpec(0.5), HilbertConfig(20)).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.5), 20).to_density()
     u = _phase_factors(math.pi / 2, 21)[0]
     rotated = u.conj()[:, None] * rho.elements * u[None, :]
     assert np.all(rotated.imag == 0)
@@ -333,22 +345,22 @@ def test_wavefunction_rejects_negative_index():
 
 def test_state_vector_rejects_bad_norm():
     with pytest.raises(DomainError):
-        StateVector(np.ones(CFG.dim), CFG)
+        StateVector(np.ones(CUTOFF + 1))
 
 
 def test_density_matrix_invariants_enforced():
-    bad_trace = np.eye(CFG.dim, dtype=complex)
+    bad_trace = np.eye(CUTOFF + 1, dtype=complex)
     with pytest.raises(DomainError):
-        DensityMatrix(bad_trace, CFG)
-    non_herm = np.zeros((CFG.dim, CFG.dim), dtype=complex)
+        DensityMatrix(bad_trace)
+    non_herm = np.zeros((CUTOFF + 1, CUTOFF + 1), dtype=complex)
     non_herm[0, 0] = 1.0
     non_herm[0, 1] = 0.1
     with pytest.raises(DomainError):
-        DensityMatrix(non_herm, CFG)
+        DensityMatrix(non_herm)
 
 
 def test_density_matrix_embed_truncate():
-    sv = squeezed_vacuum(SqueezeSpec(0.5), HilbertConfig(20))
+    sv = squeezed_vacuum(SqueezeSpec(0.5), 20)
     rho = sv.to_density()
     big = rho.embed(30)
     assert big.config.cutoff == 30
@@ -363,7 +375,7 @@ def test_density_matrix_json_roundtrip(tmp_path):
     a = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    dm = DensityMatrix(rho, HilbertConfig(6))
+    dm = DensityMatrix(rho)
     path = tmp_path / "rho.json"
     save_density_matrix(dm, path)
     back = load_density_matrix(path)
@@ -372,7 +384,7 @@ def test_density_matrix_json_roundtrip(tmp_path):
 
 
 def test_states_are_immutable():
-    sv = squeezed_vacuum(SqueezeSpec(0.3), HilbertConfig(12))
+    sv = squeezed_vacuum(SqueezeSpec(0.3), 12)
     with pytest.raises(ValueError):
         sv.amplitudes[0] = 0.0
     rho = sv.to_density()

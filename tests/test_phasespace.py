@@ -8,7 +8,6 @@ from catsim.channels import ExperimentParams, herald_subtract, input_state, loss
 from catsim.config import preset
 from catsim.fock import (
     DensityMatrix,
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     cat_state,
@@ -35,13 +34,13 @@ from catsim.phasespace import (
 from catsim.pipeline import _build_states
 from oracles import beam_splitter_amplitude, laguerre_wigner, phase_rotated, wigner_integral_oracle
 
-CFG = HilbertConfig(30)
+CUTOFF = 30
 
 
-def fock_dm(n, cfg=CFG):
-    amps = np.zeros(cfg.dim)
+def fock_dm(n, cutoff=CUTOFF):
+    amps = np.zeros(cutoff + 1)
     amps[n] = 1.0
-    return StateVector(amps, cfg).to_density()
+    return StateVector(amps).to_density()
 
 
 def random_dm(seed, cutoff=8):
@@ -49,7 +48,7 @@ def random_dm(seed, cutoff=8):
     a = rng.normal(size=(cutoff + 1, cutoff + 1)) + 1j * rng.normal(size=(cutoff + 1, cutoff + 1))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
-    return DensityMatrix(rho, HilbertConfig(cutoff))
+    return DensityMatrix(rho)
 
 
 # the default [grids] quadrature axis, and the one coherence_peak reads on
@@ -69,19 +68,19 @@ def riemann_integral(rho, axis):
 
 
 def test_wigner_normalization():
-    sv = squeezed_vacuum(SqueezeSpec(0.576), CFG)
+    sv = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF)
     assert riemann_integral(sv.to_density(), W_AXIS) == pytest.approx(1.0, abs=2e-3)
     # the alpha = 2.5i cat lobes sit at +-3.54, so give them a wider window
-    even = cat_state(2.5j, "even", CFG)
+    even = cat_state(2.5j, "even", CUTOFF)
     axis = np.linspace(-7.0, 7.0, 281)
     assert riemann_integral(even.to_density(), axis) == pytest.approx(1.0, abs=2e-3)
 
 
 def test_wigner_integral_oracle_reference_points():
-    assert wigner_integral_oracle(fock_dm(0, HilbertConfig(6)), 0.0, 0.0) == pytest.approx(
+    assert wigner_integral_oracle(fock_dm(0, 6), 0.0, 0.0) == pytest.approx(
         1 / math.pi, abs=1e-8
     )
-    sv = squeezed_vacuum(SqueezeSpec(0.576), HilbertConfig(20))
+    sv = squeezed_vacuum(SqueezeSpec(0.576), 20)
     assert wigner_integral_oracle(sv.to_density(), 0.0, 0.0) == pytest.approx(
         1 / math.pi, abs=1e-8
     )
@@ -101,10 +100,9 @@ def test_wigner_cross_method_agreement():
 def _wigner_cases():
     cases = []
     for cutoff in (1, 2, 5, 15, 30):
-        config = HilbertConfig(cutoff)
-        cases += [(f"fock_{n}_of_{cutoff}", fock_dm(n, config)) for n in sorted({0, 1, cutoff})]
+        cases += [(f"fock_{n}_of_{cutoff}", fock_dm(n, cutoff)) for n in sorted({0, 1, cutoff})]
         cases.append((f"random_{cutoff}", random_dm(cutoff, cutoff=cutoff)))
-    cases.append(("cat", cat_state(2.5j, "even", CFG).to_density()))
+    cases.append(("cat", cat_state(2.5j, "even", CUTOFF).to_density()))
     cases += list(_build_states(preset("default")).items())
     return dict(cases)
 
@@ -197,7 +195,7 @@ def laguerre_expansion_wigner(rho, x, p):
 @pytest.mark.parametrize(
     "rho",
     [
-        phase_rotated(cat_state(2.0 + 0.5j, "odd", CFG).to_density(), 0.7),
+        phase_rotated(cat_state(2.0 + 0.5j, "odd", CUTOFF).to_density(), 0.7),
         fock_dm(30),
     ],
     ids=["rotated_complex_cat", "fock_30"],
@@ -265,7 +263,7 @@ def test_rho_quad_hermitian_structure():
 
 
 def test_even_cat_momentum_peaks_and_overlap():
-    even = cat_state(2.5j, "even", CFG).to_density()
+    even = cat_state(2.5j, "even", CUTOFF).to_density()
     pk = coherence_peak(even)
     assert pk.position == pytest.approx(math.sqrt(2) * 2.5, abs=0.05)
     # even-parity pure state: diagonal and anti-diagonal coincide at the peak
@@ -274,8 +272,8 @@ def test_even_cat_momentum_peaks_and_overlap():
 
 def test_even_parity_states_have_equal_diag_antidiag():
     for state in (
-        squeezed_vacuum(SqueezeSpec(0.576), CFG),
-        cat_state(2.5j, "even", CFG),
+        squeezed_vacuum(SqueezeSpec(0.576), CUTOFF),
+        cat_state(2.5j, "even", CUTOFF),
     ):
         diagonal, antidiagonal = _coherence_profile(state.to_density(), AXIS)
         assert np.max(np.abs(diagonal - antidiagonal)) < 1e-10
@@ -307,7 +305,7 @@ def test_coherence_peak_reads_the_rho_quad_table(source):
 
 
 def test_loss_degrades_interference():
-    even = cat_state(2.5j, "even", CFG).to_density()
+    even = cat_state(2.5j, "even", CUTOFF).to_density()
     before = abs(coherence_peak(even).off_diagonal_value)
     after = abs(coherence_peak(loss_channel(even, 0.7)).off_diagonal_value)
     assert after < before
@@ -322,7 +320,7 @@ def test_marginal_vacuum_variance():
 
 def test_marginal_squeezed_variances():
     r = 0.576
-    rho = squeezed_vacuum(SqueezeSpec(r), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(r), CUTOFF).to_density()
     squeezed_var = np.trapezoid(AXIS**2 * marginal(rho, 0.0, AXIS), AXIS)
     anti_var = np.trapezoid(AXIS**2 * marginal(rho, math.pi / 2, AXIS), AXIS)
     assert squeezed_var == pytest.approx(math.exp(-2 * r) / 2, rel=1e-6)
@@ -358,14 +356,14 @@ def test_origin_parity_equals_wigner_origin():
 
 
 def test_origin_parity_cat_values():
-    even = cat_state(2.5j, "even", CFG).to_density()
-    odd = cat_state(2.5j, "odd", CFG).to_density()
+    even = cat_state(2.5j, "even", CUTOFF).to_density()
+    odd = cat_state(2.5j, "odd", CUTOFF).to_density()
     assert origin_parity(even) == pytest.approx(1 / math.pi, abs=1e-12)
     assert origin_parity(odd) == pytest.approx(-1 / math.pi, abs=1e-12)
 
 
 def test_marginal_sweep_shape():
-    rho = squeezed_vacuum(SqueezeSpec(0.3), HilbertConfig(12)).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.3), 12).to_density()
     angles = np.arange(-90.0, 91.0, 15.0)
     grid = np.linspace(-4, 4, 81)
     sweep = marginal_sweep(rho, angles, grid)
@@ -375,7 +373,7 @@ def test_marginal_sweep_shape():
 
 
 def test_csv_exports(tmp_path):
-    rho = squeezed_vacuum(SqueezeSpec(0.3), HilbertConfig(8), tail_tol=1e-3).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.3), 8, tail_tol=1e-3).to_density()
     grid = np.linspace(-2, 2, 5)
     qdm = rho_quad(rho, math.pi / 2, grid)
     p_quad = tmp_path / "quad.csv"

@@ -14,7 +14,6 @@ from catsim.errors import (
     SchemaError,
 )
 from catsim.fock import (
-    HilbertConfig,
     SqueezeSpec,
     StateVector,
     cat_state,
@@ -36,13 +35,13 @@ from catsim.sampler import (
 )
 from oracles import phase_rotated
 
-CFG = HilbertConfig(30)
+CUTOFF = 30
 
 
 def vacuum_dm():
-    amps = np.zeros(CFG.dim)
+    amps = np.zeros(CUTOFF + 1)
     amps[0] = 1.0
-    return StateVector(amps, CFG).to_density()
+    return StateVector(amps).to_density()
 
 
 def einsum_marginal(rho, theta, q):
@@ -77,7 +76,7 @@ def test_vacuum_sample_variance():
 
 
 def test_squeezed_sample_variance():
-    rho = squeezed_vacuum(SqueezeSpec(0.576), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF).to_density()
     draws = sample_phase(rho, 0.0, 100_000, seed=22)
     want = math.exp(-2 * 0.576) / 2
     assert abs(draws.var() - want) / want < 0.05
@@ -97,7 +96,7 @@ def test_kolmogorov_smirnov_against_exact_cdf():
     herald2 = herald_subtract(params.with_herald(2)).state
     cases = [
         (vacuum_dm(), 0.0),
-        (squeezed_vacuum(SqueezeSpec(0.576), CFG).to_density(), 0.0),
+        (squeezed_vacuum(SqueezeSpec(0.576), CUTOFF).to_density(), 0.0),
         (herald2, 90.0),
     ]
     for i, (rho, theta) in enumerate(cases):
@@ -122,7 +121,7 @@ def test_phase_covariance():
 
 
 def test_subseed_independence():
-    rho = squeezed_vacuum(SqueezeSpec(0.5), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.5), CUTOFF).to_density()
     plan = PhasePlan(phases_deg=(0.0, 90.0), samples_per_phase=100_000)
     ds = synth_dataset(rho, plan, seed=9)
     a, b = ds.q.reshape(2, -1)  # the 0 and 90 degree records
@@ -169,7 +168,7 @@ def test_synth_dataset_chi_squared_against_exact_marginal():
 
 
 def test_even_cat_momentum_samples_are_bimodal():
-    rho = cat_state(2.5j, "even", CFG).to_density()
+    rho = cat_state(2.5j, "even", CUTOFF).to_density()
     draws = sample_phase(rho, 90.0, 20_000, seed=12)
     peak = math.sqrt(2) * 2.5
     hist, edges = np.histogram(draws, bins=np.linspace(-6, 6, 121))
@@ -195,7 +194,7 @@ def test_dataset_validation_errors():
 
 
 def test_save_load_roundtrip(tmp_path):
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     plan = PhasePlan(phases_deg=(0.0, 45.0), samples_per_phase=64)
     ds = synth_dataset(rho, plan, seed=4, source_id="roundtrip")
     path = tmp_path / "data.csv"
@@ -227,7 +226,7 @@ def test_dataset_csv_bytes_match_per_record_writer(tmp_path):
 
 
 def test_dataset_csv_bytes_match_per_record_writer_over_many_blocks(tmp_path):
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(phases_deg=(-45.0, 0.0, 90.0), samples_per_phase=9000), seed=2)
     path = tmp_path / "data.csv"
     save_dataset(ds, path)
@@ -292,7 +291,7 @@ def test_non_finite_phase_token_rejected(tmp_path):
 
 def test_degenerate_distribution_rejected():
     # a strongly displaced state leaves the default sampling window
-    rho = coherent_state(5.5j, HilbertConfig(70)).to_density()
+    rho = coherent_state(5.5j, 70).to_density()
     with pytest.raises(DegenerateDistributionError):
         sample_phase(rho, 90.0, 10, seed=0)
 
@@ -426,7 +425,7 @@ def test_counts_per_phase_must_pair_with_phases_deg(tmp_path, meta, message):
 
 
 def test_load_dataset_reads_a_pipeline_file_as_the_line_reader(tmp_path):
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=2000), seed=9)
     path = tmp_path / "data.csv"
     save_dataset(ds, path)

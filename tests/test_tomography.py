@@ -16,7 +16,6 @@ from catsim.errors import (
 )
 from catsim.fock import (
     DensityMatrix,
-    HilbertConfig,
     hermite_functions,
     SqueezeSpec,
     StateVector,
@@ -35,13 +34,13 @@ from catsim.tomography import (
 )
 from oracles import povm_projector, trace_distance
 
-CFG30 = HilbertConfig(30)
+CUTOFF = 30
 
 
 def vacuum_dm():
-    amps = np.zeros(CFG30.dim)
+    amps = np.zeros(CUTOFF + 1)
     amps[0] = 1.0
-    return StateVector(amps, CFG30).to_density()
+    return StateVector(amps).to_density()
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +97,7 @@ def test_log_likelihood_single_record_maximally_mixed():
     mixed = np.eye(dim, dtype=complex) / dim
     from catsim.fock import DensityMatrix
 
-    rho = DensityMatrix(mixed, HilbertConfig(dim - 1))
+    rho = DensityMatrix(mixed)
     ds = HomodyneDataset(np.array([30.0]), np.array([0.4]))
     pi = povm_projector(30.0, 0.4, dim - 1)
     want = math.log(np.trace(pi).real / dim)
@@ -106,7 +105,7 @@ def test_log_likelihood_single_record_maximally_mixed():
 
 
 def test_log_likelihood_reorder_invariance():
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=500), seed=8)
     perm = np.random.default_rng(0).permutation(len(ds))
     shuffled = HomodyneDataset(ds.theta_deg[perm], ds.q[perm], dict(ds.meta))
@@ -115,7 +114,7 @@ def test_log_likelihood_reorder_invariance():
 
 
 def test_true_state_beats_vacuum_on_squeezed_data():
-    rho = squeezed_vacuum(SqueezeSpec(0.576), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.576), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=1667), seed=10)
     assert log_likelihood(rho, ds) > log_likelihood(vacuum_dm(), ds)
 
@@ -296,7 +295,7 @@ def test_probabilities_match_extended_precision_projectors(cutoff, state):
     p = tables.probabilities(rho)[np.argsort(tables.index)]
     assert np.max(np.abs(p - want) / want) <= 1e-12
     # the likelihood and the marginal sweep read one coefficient function and one phi table
-    state = DensityMatrix(rho, HilbertConfig(cutoff))
+    state = DensityMatrix(rho)
     swept = np.empty(q.size)
     for t in np.unique(theta):
         sel = theta == t
@@ -353,7 +352,7 @@ def complex_rrr(dataset, cutoff, tolerance, max_iterations):
 
 @pytest.fixture(scope="module")
 def squeezed_two_phase():
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0, 90.0), samples_per_phase=300), seed=12)
     cfg = MleConfig(cutoff=8, max_iterations=400)
     return ds, cfg, mle_reconstruct(ds, cfg)
@@ -420,7 +419,7 @@ def test_gap_closes_below_the_likelihood_resolution(herald2_state, samples, seed
 
 
 def test_single_phase_identifiability_warning():
-    rho = squeezed_vacuum(SqueezeSpec(0.3), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.3), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0,), samples_per_phase=2000), seed=2)
     with pytest.warns(IdentifiabilityWarning):
         _, diag = mle_reconstruct(ds, MleConfig(cutoff=8, bin_width=0.05))
@@ -465,6 +464,7 @@ def cold_fit(dataset, cfg):
     it started from a binned pre-fit."""
     tables = _phase_tables(dataset, cfg.cutoff, None)
     a, diag = tomography._iterate(tables, cfg)
+    tomography._warn(diag)
     return tomography._density(a), diag
 
 
@@ -535,7 +535,7 @@ def test_pointwise_fit_starts_cold_when_the_prefit_fails(far):
 def test_pointwise_fit_warns_once(max_iterations):
     # the pre-fit reads the same single phase and, at 3 iterations, stops short
     # too: the fit gives each warning once
-    rho = squeezed_vacuum(SqueezeSpec(0.3), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.3), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0,), samples_per_phase=500), seed=2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -549,7 +549,7 @@ def test_pointwise_fit_warns_once(max_iterations):
 
 
 def test_nonconvergence_warning_and_best_iterate():
-    rho = squeezed_vacuum(SqueezeSpec(0.4), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.4), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=2000), seed=3)
     with pytest.warns(NonConvergenceWarning):
         rho_hat, diag = mle_reconstruct(
@@ -589,7 +589,7 @@ def test_bad_shot_noise_variance_rejected(snv):
 
 def test_shot_noise_rescaling():
     # the same records expressed at vacuum variance 1 reconstruct the same state
-    rho = squeezed_vacuum(SqueezeSpec(0.5), CFG30).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.5), CUTOFF).to_density()
     ds = synth_dataset(rho, PhasePlan(samples_per_phase=4000), seed=6)
     scaled = HomodyneDataset(
         ds.theta_deg,
@@ -670,9 +670,7 @@ def test_bootstrap_replicas_match_resampled_datasets(monkeypatch, herald2_state,
         resampled = replica_dataset(ds, tables, weights, bin_width)
         # each phase's weights sum to its record count
         assert [np.sum(resampled.theta_deg == t) for t in phases] == records
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonConvergenceWarning)
-            a, _ = tomography._iterate(_phase_tables(resampled, cfg.cutoff, bin_width), cfg)
+        a, _ = tomography._iterate(_phase_tables(resampled, cfg.cutoff, bin_width), cfg)
         oracle.append(tomography._density(a))
     for got, want in zip(seen, oracle):
         assert np.max(np.abs(got.elements - want.elements)) < 1e-12
@@ -705,6 +703,16 @@ def test_bootstrap_reports_replica_convergence(monkeypatch, max_iterations):
         assert rep["max_likelihood_gap"] > cfg.gap_tolerance
     else:
         assert rep["unconverged"] == 0 and rep["max_likelihood_gap"] <= cfg.gap_tolerance
+
+
+def test_single_phase_bootstrap_warns_once():
+    rho = squeezed_vacuum(SqueezeSpec(0.3), CUTOFF).to_density()
+    ds = synth_dataset(rho, PhasePlan(phases_deg=(0.0,), samples_per_phase=300), seed=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rep = bootstrap(ds, MleConfig(cutoff=5, bin_width=0.1, max_iterations=3), replicas=4)
+    assert rep.successful == 4 and rep.unconverged == 4
+    assert [w.category for w in caught] == [IdentifiabilityWarning]
 
 
 def test_bootstrap_same_seed_same_report():
