@@ -25,8 +25,6 @@ from .fock import (
 )
 from .phasespace import (
     CoherencePeak,
-    QuadDensityMatrix,
-    WignerGrid,
     coherence_peak,
     marginal,
     marginal_sweep,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .channels import ExperimentParams
 from .errors import ConfigError
+from .export import write_text
 from .fock import SqueezeSpec
 from .sampler import PhasePlan
 from .tomography import MleConfig
@@ -159,7 +160,7 @@ class RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(cfg.to_ini(), encoding="ascii")
+    write_text(path, [cfg.to_ini()])
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -12,10 +12,6 @@ class DomainError(CatsimError, ValueError):
 class TruncationError(CatsimError):
     """The Fock cutoff discards more probability mass than allowed."""
 
-    def __init__(self, message: str, tail: float):
-        super().__init__(message)
-        self.tail = tail
-
 
 class TruncationBudgetError(DomainError):
     """A joint two-mode dimension exceeds the configured budget."""
@@ -68,10 +64,8 @@ class BootstrapError(CatsimError):
 class MissingInputError(CatsimError):
     """A pipeline stage is missing the outputs of an upstream stage."""
 
-    def __init__(self, stage: str, detail: str = ""):
-        msg = f"missing outputs of stage '{stage}'" + (f": {detail}" if detail else "")
-        super().__init__(msg)
-        self.stage = stage
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"missing outputs of stage '{stage}': {detail}")
 
 
 class ConfigError(CatsimError):

@@ -1,4 +1,5 @@
-"""CSV rows for the stage outputs, formatted in batches, and the one JSON reader.
+"""CSV rows for the stage outputs, formatted in batches, the one file writer
+and the one JSON reader.
 
 Every value is written as `repr` of a Python float, so it reads back
 exactly. Each distinct value of a batch is formatted once: a phase-space
@@ -11,6 +12,7 @@ by block, so no more than one block's rows are joined at a time.
 from __future__ import annotations
 
 import json
+import os
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -39,16 +41,34 @@ def fields(values) -> list[str]:
     return text[inverse].tolist()
 
 
+def write_text(path: str | Path, parts: Iterable[str]) -> None:
+    """Write the text parts, in order, to a hidden temp file beside `path`, then
+    rename it over `path`. If a part raises, the temp file is removed and `path`
+    keeps its old bytes, so a stage that dies mid-write leaves no partial file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.writelines(parts)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_rows(path: str | Path, head: Sequence[str], blocks: Iterable[Sequence]) -> None:
     """Write the head lines, then each block's rows.
 
     A block is a sequence of columns. A column is a list of fields, one per
     row of the block, or a single field (str) repeated on every row.
     """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("".join(line + "\n" for line in head))
-        for block in blocks:
-            columns = [repeat(c) if isinstance(c, str) else c for c in block]
-            text = "\n".join(map(",".join, zip(*columns)))
-            if text:
-                fh.write(text + "\n")
+    write_text(path, _row_text(head, blocks))
+
+
+def _row_text(head: Sequence[str], blocks: Iterable[Sequence]):
+    yield "".join(line + "\n" for line in head)
+    for block in blocks:
+        columns = [repeat(c) if isinstance(c, str) else c for c in block]
+        text = "\n".join(map(",".join, zip(*columns)))
+        if text:
+            yield text + "\n"

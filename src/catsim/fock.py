@@ -23,7 +23,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, SchemaError, TruncationError, ZeroStateError
-from .export import read_json
+from .export import read_json, write_text
 
 DEFAULT_TAIL_TOL = 1e-6
 
@@ -80,7 +80,7 @@ def _check_shape(shape: tuple[int, ...], axes: int) -> None:
         raise DomainError(f"cutoff must be >= 1, got {shape[0] - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state amplitudes c_n with unit norm in a truncated Fock basis."""
 
@@ -106,7 +106,7 @@ class StateVector:
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix rho_{n,m}."""
 
@@ -152,15 +152,15 @@ class DensityMatrix:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DensityMatrix":
-        cutoff = int(payload["cutoff"])
+        cutoff = payload["cutoff"]
         rho = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-        if rho.shape[:1] != (cutoff + 1,):
-            raise DimensionMismatch(f"cutoff {cutoff} does not fit a matrix of shape {rho.shape}")
+        if type(cutoff) is not int or rho.shape[:1] != (cutoff + 1,):
+            raise DimensionMismatch(f"cutoff {cutoff!r} does not fit a {rho.shape} matrix")
         return cls(rho)
 
 
 def save_density_matrix(rho: DensityMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(rho.to_dict()), encoding="ascii")
+    write_text(path, [json.dumps(rho.to_dict())])
 
 
 def load_density_matrix(path: str | Path) -> DensityMatrix:
@@ -175,8 +175,7 @@ def _check_tail(tail: float, tail_tol: float, what: str) -> None:
     if tail > tail_tol:
         raise TruncationError(
             f"{what}: truncated tail weight {tail:.3e} exceeds {tail_tol:.1e}; "
-            "raise the cutoff or pass a larger tail_tol",
-            tail=tail,
+            "raise the cutoff or pass a larger tail_tol"
         )
 
 
@@ -303,8 +302,11 @@ def hermite_functions(cutoff: int, q) -> np.ndarray:
     psi[0] = np.pi ** -0.25 * half
     if cutoff >= 1:
         psi[1] = math.sqrt(2.0) * q * psi[0]
-    for n in range(1, cutoff):
-        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * q * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    tmp = np.empty_like(q)
+    for n in range(1, cutoff):  # in place, in the float order of a·q·psi_n - b·psi_{n-1}
+        row = np.multiply(math.sqrt(2.0 / (n + 1)), q, out=psi[n + 1])
+        row *= psi[n]
+        row -= np.multiply(math.sqrt(n / (n + 1)), psi[n - 1], out=tmp)
     psi *= half
     return psi
 

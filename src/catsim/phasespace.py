@@ -31,7 +31,6 @@ no q x q table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,24 +61,6 @@ def grid_axis(lo: float, hi: float, points: int) -> np.ndarray:
 
 _COHERENCE_AXIS = grid_axis(-6.0, 6.0, 241)  # the one axis coherence_peak reads on
 _COHERENCE_AXIS.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class WignerGrid:
-    """W(x_i, p_j) sampled on a rectangular grid; values[i, j] pairs x_i with p_j."""
-
-    x_axis: np.ndarray
-    p_axis: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class QuadDensityMatrix:
-    """rho(q_i, q_j') in the rotated quadrature basis at angle theta."""
-
-    axis: np.ndarray
-    values: np.ndarray
-    theta: float
 
 
 @lru_cache(maxsize=None)
@@ -134,15 +115,14 @@ def _wigner_coefficients(rho: np.ndarray) -> np.ndarray:
     return sums[a + b, b % 2, a] * ((-1.0) ** (b // 2) / math.sqrt(2.0 * math.pi))
 
 
-def wigner(rho: DensityMatrix, x_axis: np.ndarray, p_axis: np.ndarray) -> WignerGrid:
-    """Wigner function on the rectangular grid of two axes: Phi(x)^T·C·Phi(p)."""
+def wigner(rho: DensityMatrix, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
+    """W[i, j] = W(x_i, p_j) on the grid of two axes: Phi(x)^T·C·Phi(p)."""
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     elements = np.asarray(rho.elements)
     cutoff = elements.shape[0] - 1
     c = _wigner_coefficients(elements)
-    values = (_phi_table(cutoff, x_axis).T @ c) @ _phi_table(cutoff, p_axis)
-    return WignerGrid(x_axis, p_axis, values)
+    return (_phi_table(cutoff, x_axis).T @ c) @ _phi_table(cutoff, p_axis)
 
 
 def _phi_table(cutoff: int, q: np.ndarray) -> np.ndarray:
@@ -194,8 +174,8 @@ def _coefficients(rho: np.ndarray, phases: np.ndarray, in_place: bool = False) -
     return m.reshape(len(m), -1) @ _product_map(rho.shape[0] - 1).T
 
 
-def rho_quad(rho: DensityMatrix, theta: float, axis: np.ndarray) -> QuadDensityMatrix:
-    """Density matrix in the rotated quadrature basis.
+def rho_quad(rho: DensityMatrix, theta: float, axis: np.ndarray) -> np.ndarray:
+    """Table rho(q_i, q_j) of the density matrix in the rotated quadrature basis.
 
     rho(q, q') = sum_{n,m} <q_theta|n> rho_{n,m} <m|q'_theta>, with theta = 0
     the position basis and theta = pi/2 the momentum basis. With
@@ -219,7 +199,7 @@ def rho_quad(rho: DensityMatrix, theta: float, axis: np.ndarray) -> QuadDensityM
     if np.any(m.imag):
         im = psi.T @ m.imag @ psi
         values.imag = 0.5 * (im - im.T)
-    return QuadDensityMatrix(axis=q, values=values, theta=theta)
+    return values
 
 
 def _marginals(rho: DensityMatrix, thetas, q: np.ndarray) -> np.ndarray:
@@ -270,17 +250,17 @@ def _grid_blocks(axis1, axis2, *columns):
         yield (a, second, *(t[i * n : (i + 1) * n] for t in texts))
 
 
-def save_quad_csv(qdm: QuadDensityMatrix, path) -> None:
-    """Grid CSV: '# basis=<...> theta=<deg>' header, then axis1,axis2,re,im rows."""
-    theta_deg = float(np.rad2deg(qdm.theta))
-    head = [f"# basis={_basis_label(qdm.theta)} theta={theta_deg!r}", "axis1,axis2,re,im"]
-    write_rows(path, head, _grid_blocks(qdm.axis, qdm.axis, qdm.values.real, qdm.values.imag))
+def save_quad_csv(axis, theta: float, values: np.ndarray, path) -> None:
+    """Grid CSV of rho_quad at theta: '# basis=<...> theta=<deg>', then axis1,axis2,re,im rows."""
+    theta_deg = float(np.rad2deg(theta))
+    head = [f"# basis={_basis_label(theta)} theta={theta_deg!r}", "axis1,axis2,re,im"]
+    write_rows(path, head, _grid_blocks(axis, axis, values.real, values.imag))
 
 
-def save_wigner_csv(grid: WignerGrid, path) -> None:
+def save_wigner_csv(x_axis, p_axis, values: np.ndarray, path) -> None:
     """Grid CSV for W(x, p): axis1 = x, axis2 = p, re = W."""
     head = ["# basis=wigner theta=0.0", "axis1,axis2,re"]
-    write_rows(path, head, _grid_blocks(grid.x_axis, grid.p_axis, grid.values))
+    write_rows(path, head, _grid_blocks(x_axis, p_axis, values))
 
 
 def save_marginal_sweep_csv(angles_deg, axis, sweep: np.ndarray, path) -> None:

@@ -21,7 +21,7 @@ from . import __version__
 from .channels import count_rate_table, herald_subtract, input_state, loss_channel
 from .config import CAT_PANELS_MODE, RunConfig, save_config
 from .errors import ConfigError, MissingInputError, ParseError, SchemaError
-from .export import fields, read_json, write_rows
+from .export import fields, read_json, write_rows, write_text
 from .fock import (
     DensityMatrix,
     cat_state,
@@ -84,7 +84,7 @@ def _stage_seed(seed: int, stage: str, index: int) -> int:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True), encoding="ascii")
+    write_text(path, [json.dumps(payload, indent=1, sort_keys=True)])
 
 
 def _stage_entry_ok(entry) -> bool:
@@ -179,9 +179,10 @@ def _write_coherence_profile(rho: DensityMatrix, axis: np.ndarray, path: Path) -
     write_rows(path, ["p,re_diag,re_antidiag"], [columns])
 
 
-def _write_wigner_xsection(grid, path: Path) -> None:
-    j0 = int(np.argmin(np.abs(grid.p_axis)))
-    write_rows(path, ["x,w"], [(fields(grid.x_axis), fields(grid.values[:, j0]))])
+def _write_wigner_xsection(axis: np.ndarray, values: np.ndarray, path: Path) -> None:
+    """W(x, 0) along the axis, from W[i, j] = W(x_i, p_j) on the same axis in p."""
+    j0 = int(np.argmin(np.abs(axis)))
+    write_rows(path, ["x,w"], [(fields(axis), fields(values[:, j0]))])
 
 
 def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
@@ -207,16 +208,16 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
         d.mkdir(parents=True, exist_ok=True)
         save_density_matrix(rho, d / "density_matrix.json")
         _write_photon_distribution(rho, d / "photon_distribution.csv")
-        save_quad_csv(rho_quad(rho, math.pi / 2, quad_axis), d / "rho_pp.csv")
-        save_quad_csv(rho_quad(rho, 0.0, quad_axis), d / "rho_xx.csv")
+        for theta, file_name in ((math.pi / 2, "rho_pp.csv"), (0.0, "rho_xx.csv")):
+            save_quad_csv(quad_axis, theta, rho_quad(rho, theta, quad_axis), d / file_name)
         _write_coherence_profile(rho, quad_axis, d / "coherence.csv")
-        wg = wigner(rho, wx, wx)
-        wigner_min[name] = float(wg.values.min())
-        save_wigner_csv(wg, d / "wigner.csv")
-        _write_wigner_xsection(wg, d / "wigner_xsection.csv")
+        w = wigner(rho, wx, wx)
+        wigner_min[name] = float(w.min())
+        save_wigner_csv(wx, wx, w, d / "wigner.csv")
+        _write_wigner_xsection(wx, w, d / "wigner_xsection.csv")
         sweep = marginal_sweep(rho, angles, quad_axis)
         save_marginal_sweep_csv(angles, quad_axis, sweep, d / "marginals.csv")
-        files.extend(sorted(d.iterdir()))
+        files.extend(sorted(f for f in d.iterdir() if f.name[0] != "."))  # skip hidden temp files
 
     if cfg.mode != CAT_PANELS_MODE:
         _, probs, rates = zip(*count_rate_table(cfg.experiment, cfg.experiment.herald_n))
@@ -567,7 +568,7 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
             lines.append(f"warning [{state}]: {msg}")
     lines.append(f"overall: {'PASS' if all_pass else 'FAIL'}")
     text = "\n".join(lines) + "\n"  # a name or message read from a file may hold any character
-    (report_dir / "report.txt").write_text(text, encoding="ascii", errors="backslashreplace")
+    write_text(report_dir / "report.txt", [text.encode("ascii", "backslashreplace").decode()])
 
     _update_manifest(
         out, cfg, "report", [report_dir / "report.json", report_dir / "report.txt"],

@@ -68,7 +68,7 @@ class PhasePlan:
             raise DomainError(f"phases_deg repeats a phase, got {self.phases_deg}")
 
 
-@dataclass
+@dataclass(eq=False)
 class HomodyneDataset:
     """Flat record list (theta_deg, q) plus acquisition metadata."""
 

@@ -157,29 +157,32 @@ def _heights_from_traces(traces: np.ndarray, params: TesParams) -> np.ndarray:
     return traces.max(axis=1) - baseline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
-    """Row-stochastic matrix: rows are true photon numbers, columns assignments."""
+    """Row-stochastic matrix: rows are true photon numbers 0..n_max, columns assignments."""
 
     matrix: np.ndarray
-    n_max: int
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (self.n_max + 1, self.n_max + 1):
-            raise DomainError(f"matrix shape {m.shape} does not match n_max {self.n_max}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DomainError(f"confusion matrix must be square, got shape {m.shape}")
         sums = m.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-9):
             raise DomainError(f"rows must sum to 1, got {sums}")
         object.__setattr__(self, "matrix", m)
 
     @property
+    def n_max(self) -> int:
+        return len(self.matrix) - 1
+
+    @property
     def off_diagonal_mass(self) -> float:
         m = self.matrix
-        return float(m.sum() - np.trace(m)) / (self.n_max + 1)
+        return float(m.sum() - np.trace(m)) / len(m)
 
     def to_csv(self, path: str | Path) -> None:
-        labels = [str(j) for j in range(self.n_max + 1)]
+        labels = [str(j) for j in range(len(self.matrix))]
         head = ["true\\assigned," + ",".join(labels)]
         export.write_rows(path, head, [(labels, *map(export.fields, self.matrix.T))])
 
@@ -289,4 +292,4 @@ def confusion(params: TesParams, n_max: int, trials: int, seed: int = 0) -> Conf
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         counts = sum(pool.map(stripe, range(threads)))
-    return ConfusionMatrix(counts / per_row, n_max)
+    return ConfusionMatrix(counts / per_row)

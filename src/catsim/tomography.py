@@ -120,7 +120,7 @@ class MedianMax(NamedTuple):
     max: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BootstrapReport:
     """Mean and 1-sigma spread of reconstructed quantities over replicas,
     and how the successful replicas' MLE runs ended."""
@@ -147,7 +147,7 @@ class BootstrapReport:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _PhaseTables:
     """Real measurement tables on the phi basis, one per distinct phase.
 

@@ -66,7 +66,7 @@ def test_criterion_01_parity_sign_pattern(herald_states):
         if abs(w00) <= 0.005:
             failures.append(f"n={n}: |W(0,0)|={abs(w00):.5f} not above 0.005")
     for n in range(1, 5):
-        w_min = float(wigner(herald_states[n], W_AXIS, W_AXIS).values.min())
+        w_min = float(wigner(herald_states[n], W_AXIS, W_AXIS).min())
         if not w_min < -0.002:
             failures.append(f"n={n}: min W={w_min:+.5f} not below -0.002")
     _finish(1, "parity sign pattern", failures, t0)
@@ -192,7 +192,7 @@ def test_criterion_08_cross_method_oracle():
         rho = DensityMatrix(rho_m)
         pts = rng.normal(scale=1.3, size=(25, 2))
         for x, p in pts:
-            direct = wigner(rho, [x], [p]).values[0, 0]
+            direct = wigner(rho, [x], [p])[0, 0]
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             if abs(direct - oracle) > 1e-6:
                 failures.append(

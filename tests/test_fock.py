@@ -61,9 +61,10 @@ def test_a_state_takes_its_cutoff_from_its_array(tmp_path):
         DensityMatrix(np.ones((1, 1)))
     payload = vacuum(6).to_density().to_dict()
     path = tmp_path / "rho.json"
-    path.write_text(json.dumps(dict(payload, cutoff=5)))
-    with pytest.raises(SchemaError, match="cutoff 5 does not fit"):
-        load_density_matrix(path)
+    for cutoff in (5, 6.9, "6", 6.0, True):  # only the int 6 fits the 7-row matrix
+        path.write_text(json.dumps(dict(payload, cutoff=cutoff)))
+        with pytest.raises(SchemaError, match=f"cutoff {cutoff!r} does not fit"):
+            load_density_matrix(path)
 
 
 def test_squeeze_spec_db_conversion():
@@ -299,6 +300,18 @@ def test_recurrence_matches_factorial_series():
             assert basis[n, i].real == pytest.approx(psi_series(n, q), abs=1e-10)
 
 
+def test_hermite_functions_match_the_row_expression_bitwise():
+    q = np.concatenate([[-np.inf, np.inf, -0.0, 60.0, -54.6, 37.6], np.linspace(-9.0, 9.0, 37)])
+    qc = np.clip(q, -60.0, 60.0)
+    half = np.exp(-0.25 * qc * qc)
+    psi = np.zeros((37, q.size))
+    psi[0] = np.pi**-0.25 * half
+    psi[1] = math.sqrt(2.0) * qc * psi[0]
+    for n in range(1, 36):
+        psi[n + 1] = math.sqrt(2.0 / (n + 1)) * qc * psi[n] - math.sqrt(n / (n + 1)) * psi[n - 1]
+    assert np.array_equal(hermite_functions(36, q), psi * half)
+
+
 def test_quadrature_basis_is_hermite_functions_times_phases():
     qs = np.linspace(-4.0, 4.0, 9)
     psi = hermite_functions(12, qs)
@@ -381,6 +394,13 @@ def test_density_matrix_json_roundtrip(tmp_path):
     back = load_density_matrix(path)
     assert np.array_equal(back.elements, dm.elements)
     assert back.config == dm.config
+
+
+def test_states_compare_by_identity_and_hash():
+    a, b = coherent_state(1.0, 10), coherent_state(1.0, 10)
+    for x, y in ((a, b), (a.to_density(), b.to_density())):
+        assert x == x and x != y  # equal values, two objects: no ambiguous array truth value
+        assert len({x, y, x}) == 2
 
 
 def test_states_are_immutable():

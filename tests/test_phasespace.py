@@ -15,8 +15,6 @@ from catsim.fock import (
     squeezed_vacuum,
 )
 from catsim.phasespace import (
-    QuadDensityMatrix,
-    WignerGrid,
     _beam_splitter_map,
     _coherence_profile,
     _wigner_coefficients,
@@ -60,11 +58,11 @@ W_AXIS = grid_axis(-5.0, 5.0, 201)
 def test_wigner_fock_state_origin_values():
     origin = 100  # W_AXIS[100] is exactly 0
     for n, want in ((0, 1 / math.pi), (1, -1 / math.pi)):
-        assert wigner(fock_dm(n), W_AXIS, W_AXIS).values[origin, origin] == pytest.approx(want, abs=1e-10)
+        assert wigner(fock_dm(n), W_AXIS, W_AXIS)[origin, origin] == pytest.approx(want, abs=1e-10)
 
 
 def riemann_integral(rho, axis):
-    return float(np.sum(wigner(rho, axis, axis).values)) * (axis[1] - axis[0]) ** 2
+    return float(np.sum(wigner(rho, axis, axis))) * (axis[1] - axis[0]) ** 2
 
 
 def test_wigner_normalization():
@@ -92,7 +90,7 @@ def test_wigner_cross_method_agreement():
         rho = random_dm(seed, cutoff=6)
         pts = rng.normal(scale=1.3, size=(6, 2))
         for x, p in pts:
-            direct = wigner(rho, [x], [p]).values[0, 0]
+            direct = wigner(rho, [x], [p])[0, 0]
             oracle = wigner_integral_oracle(rho, float(x), float(p))
             assert direct == pytest.approx(oracle, abs=1e-6)
 
@@ -114,7 +112,7 @@ WIGNER_CASES = _wigner_cases()  # Fock, random complex, cat and every default st
 def test_wigner_bilinear_form_matches_laguerre_oracle(rho):
     xg, pg = np.meshgrid(W_AXIS[::4], W_AXIS[::4], indexing="ij")
     expected = laguerre_wigner(np.asarray(rho.elements), xg, pg)
-    assert np.max(np.abs(wigner(rho, W_AXIS[::4], W_AXIS[::4]).values - expected)) < 1e-14
+    assert np.max(np.abs(wigner(rho, W_AXIS[::4], W_AXIS[::4]) - expected)) < 1e-14
 
 
 @pytest.mark.parametrize("cutoff", [1, 2, 5, 15])
@@ -171,7 +169,7 @@ def test_grid_axis_is_linspace_on_an_asymmetric_range(bounds):
 def test_default_state_tables_are_mirror_equal_on_a_symmetric_axis():
     rho = _build_states(preset("default"))["herald_3"]
     for theta in (0.0, math.pi / 2):
-        values = rho_quad(rho, theta, AXIS).values
+        values = rho_quad(rho, theta, AXIS)
         assert np.max(np.abs(values - values[::-1, ::-1])) < 1e-15
     sweep = marginal_sweep(rho, np.array([-90.0, -45.0, 0.0, 30.0, 90.0]), AXIS)
     assert np.max(np.abs(sweep - sweep[:, ::-1])) < 1e-15
@@ -204,7 +202,7 @@ def test_wigner_recurrence_matches_laguerre_expansion(rho):
     axis = np.linspace(-5.0, 5.0, 41)
     xg, pg = np.meshgrid(axis, axis, indexing="ij")
     expected = laguerre_expansion_wigner(np.asarray(rho.elements), xg, pg)
-    assert np.max(np.abs(wigner(rho, axis, axis).values - expected)) < 1e-12
+    assert np.max(np.abs(wigner(rho, axis, axis) - expected)) < 1e-12
 
 
 def einsum_marginal(rho, theta, q):
@@ -235,7 +233,7 @@ def default_states():
 def test_rho_quad_is_bitwise_hermitian_and_matches_the_complex_product(theta):
     rho = random_dm(11, cutoff=10)
     q = np.linspace(-4, 4, 61)
-    values = rho_quad(rho, theta, q).values
+    values = rho_quad(rho, theta, q)
     assert np.array_equal(values, values.conj().T)
     assert np.all(values.diagonal().imag == 0)
     w = quadrature_basis(rho.config.cutoff, q, theta)  # the old w^† rho w table
@@ -245,21 +243,21 @@ def test_rho_quad_is_bitwise_hermitian_and_matches_the_complex_product(theta):
 @pytest.mark.parametrize("theta", [0.0, math.pi / 2])
 def test_rho_quad_of_default_states_has_exact_zero_imaginary_part(theta):
     for rho in default_states():
-        im = rho_quad(rho, theta, AXIS).values.imag
+        im = rho_quad(rho, theta, AXIS).imag
         assert np.all(im == 0) and not np.any(np.signbit(im))
 
 
 def test_rho_quad_vacuum_momentum_basis():
-    qdm = rho_quad(fock_dm(0), math.pi / 2, AXIS)
-    i0 = np.argmin(np.abs(qdm.axis))
-    assert qdm.values[i0, i0].real == pytest.approx(1 / math.sqrt(math.pi), abs=1e-12)
+    values = rho_quad(fock_dm(0), math.pi / 2, AXIS)
+    i0 = np.argmin(np.abs(AXIS))
+    assert values[i0, i0].real == pytest.approx(1 / math.sqrt(math.pi), abs=1e-12)
 
 
 def test_rho_quad_hermitian_structure():
     rho = random_dm(7)
-    qdm = rho_quad(rho, 0.3, AXIS)
-    assert np.max(np.abs(qdm.values - qdm.values.conj().T)) < 1e-12
-    assert np.all(qdm.values.diagonal().real >= -1e-9)
+    values = rho_quad(rho, 0.3, AXIS)
+    assert np.max(np.abs(values - values.conj().T)) < 1e-12
+    assert np.all(values.diagonal().real >= -1e-9)
 
 
 def test_even_cat_momentum_peaks_and_overlap():
@@ -292,16 +290,16 @@ def test_coherence_peak_reads_the_rho_quad_table(source):
     q = AXIS
     for rho in coherence_states(source):
         table = rho_quad(rho, math.pi / 2, q)
-        table_diagonal = table.values.diagonal().real
+        table_diagonal = table.diagonal().real
         diagonal, antidiagonal = _coherence_profile(rho, q)
         assert np.max(np.abs(diagonal - table_diagonal)) <= 1e-14
-        assert np.max(np.abs(antidiagonal - table.values[:, ::-1].diagonal().real)) <= 1e-14
+        assert np.max(np.abs(antidiagonal - table[:, ::-1].diagonal().real)) <= 1e-14
         half = np.flatnonzero(q >= 0.0)
         idx = half[np.argmax(table_diagonal[half])]
         peak = coherence_peak(rho)
         assert peak.position == q[idx]
         assert abs(peak.diagonal_value - table_diagonal[idx]) <= 1e-14
-        assert abs(peak.off_diagonal_value - table.values[idx, q.size - 1 - idx].real) <= 1e-14
+        assert abs(peak.off_diagonal_value - table[idx, q.size - 1 - idx].real) <= 1e-14
 
 
 def test_loss_degrades_interference():
@@ -352,7 +350,7 @@ def test_radon_projection_matches_marginal():
 
 def test_origin_parity_equals_wigner_origin():
     for rho in (fock_dm(0), fock_dm(1), random_dm(17, cutoff=8)):
-        assert origin_parity(rho) == pytest.approx(wigner(rho, [0.0], [0.0]).values[0, 0], abs=1e-10)
+        assert origin_parity(rho) == pytest.approx(wigner(rho, [0.0], [0.0])[0, 0], abs=1e-10)
 
 
 def test_origin_parity_cat_values():
@@ -375,22 +373,21 @@ def test_marginal_sweep_shape():
 def test_csv_exports(tmp_path):
     rho = squeezed_vacuum(SqueezeSpec(0.3), 8, tail_tol=1e-3).to_density()
     grid = np.linspace(-2, 2, 5)
-    qdm = rho_quad(rho, math.pi / 2, grid)
     p_quad = tmp_path / "quad.csv"
-    save_quad_csv(qdm, p_quad)
+    save_quad_csv(grid, math.pi / 2, rho_quad(rho, math.pi / 2, grid), p_quad)
     text = p_quad.read_text().splitlines()
     assert text[0].startswith("# basis=momentum theta=90.0")
     assert text[1] == "axis1,axis2,re,im"
     assert len(text) == 2 + 25
 
-    wg = wigner(rho, np.linspace(-2, 2, 5), np.linspace(-2, 2, 5))
+    w = wigner(rho, grid, grid)
     p_wig = tmp_path / "wig.csv"
-    save_wigner_csv(wg, p_wig)
+    save_wigner_csv(grid, grid, w, p_wig)
     lines = p_wig.read_text().splitlines()
     assert lines[1] == "axis1,axis2,re"
     # values round-trip at full precision
     x, p, v = lines[2].split(",")
-    assert float(v) == wg.values[0, 0]
+    assert float(v) == w[0, 0]
 
     sweep = marginal_sweep(rho, np.array([0.0, 90.0]), grid)
     p_sweep = tmp_path / "sweep.csv"
@@ -417,8 +414,7 @@ def test_quad_csv_bytes_match_per_element_writer(tmp_path):
     axis = np.array([-0.0, 5e-324, 0.30000000000000004, 1.0, 2.5])
     values = np.outer(AWKWARD, AWKWARD[::-1]) + 1j * np.outer(AWKWARD[::-1], AWKWARD)
     values[0, 0] = complex(-0.0, 5e-324)
-    qdm = QuadDensityMatrix(axis=axis, values=values, theta=math.pi / 2)
-    save_quad_csv(qdm, tmp_path / "q.csv")
+    save_quad_csv(axis, math.pi / 2, values, tmp_path / "q.csv")
     expected = f_string_grid_csv(
         ["# basis=momentum theta=90.0", "axis1,axis2,re,im"], axis, axis, [values.real, values.imag]
     )
@@ -429,7 +425,7 @@ def test_wigner_csv_bytes_match_per_element_writer(tmp_path):
     x = AWKWARD.copy()
     p = np.array([-2.0, -0.0, 0.1 + 0.2])
     values = np.outer(AWKWARD, [1.0, -1.0, 5e-324])
-    save_wigner_csv(WignerGrid(x, p, values), tmp_path / "w.csv")
+    save_wigner_csv(x, p, values, tmp_path / "w.csv")
     expected = f_string_grid_csv(["# basis=wigner theta=0.0", "axis1,axis2,re"], x, p, [values])
     assert (tmp_path / "w.csv").read_bytes() == expected
 

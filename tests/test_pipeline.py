@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from catsim import pipeline
+from catsim import phasespace, pipeline
 from catsim.channels import ExperimentParams
 from catsim.cli import main as cli_main
 from catsim.config import (
@@ -431,7 +431,7 @@ def test_report_reads_wigner_minima_instead_of_recomputing(tmp_path, monkeypatch
     minima = []
     for n in range(1, cfg.experiment.herald_n + 1):
         rho = load_density_matrix(out / "states" / f"herald_{n}" / "density_matrix.json")
-        minima.append(float(pipeline.wigner(rho, axis, axis).values.min()))
+        minima.append(float(pipeline.wigner(rho, axis, axis).min()))
     expected = {
         "check": "wigner_negativity",
         "passed": all(m < -0.002 for m in minima),
@@ -572,8 +572,18 @@ def _copied_run(finished_run, tmp_path):
     return out, cfg_path
 
 
+VACUUM_ROWS = '"re": [[1.0, 0.0], [0.0, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]'
+
+
 @pytest.mark.parametrize(
-    "text", ["{not json", '{"cutoff": 30, "im": []}'], ids=["not_json", "no_re"]
+    "text",
+    [
+        "{not json",
+        '{"cutoff": 30, "im": []}',
+        '{"cutoff": 1.9, %s}' % VACUUM_ROWS,
+        '{"cutoff": "1", %s}' % VACUUM_ROWS,
+    ],
+    ids=["not_json", "no_re", "float_cutoff", "str_cutoff"],
 )
 def test_sample_names_a_malformed_state_file(finished_run, tmp_path, capsys, text):
     out, cfg_path = _copied_run(finished_run, tmp_path)
@@ -589,6 +599,37 @@ def test_analyze_names_a_malformed_reconstruction(finished_run, tmp_path, capsys
     victim.write_text("{not json")
     assert cli_main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 3
     assert str(victim) in capsys.readouterr().err
+
+
+def _tree(root):
+    return {f.relative_to(root).as_posix(): f.read_bytes() for f in root.rglob("*") if f.is_file()}
+
+
+def test_a_stage_that_dies_mid_write_leaves_the_old_files(finished_run, tmp_path, monkeypatch):
+    out, _ = _copied_run(finished_run, tmp_path)
+    before = _tree(out)
+    grid_blocks = phasespace._grid_blocks
+
+    def one_block_then_fail(*args):
+        yield next(grid_blocks(*args))
+        raise RuntimeError("write failed")
+
+    monkeypatch.setattr(phasespace, "_grid_blocks", one_block_then_fail)
+    with pytest.raises(RuntimeError, match="write failed"):
+        pipeline.simulate(finished_run[0], out)  # dies inside states/input/rho_pp.csv
+    assert _tree(out) == before  # every old file, manifest.json too, and no temp file
+
+
+def test_simulate_records_no_temp_file_a_killed_run_left(tmp_path):
+    stale = tmp_path / "states" / "input" / ".rho_pp.csv.4242.tmp"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("0.0,0.0,")
+    pipeline.simulate(light_config(), tmp_path)
+    files = json.loads((tmp_path / "manifest.json").read_text())["stages"]["simulate"]["files"]
+    assert sorted(Path(f).name for f in files if f.startswith("states/input/")) == [
+        "coherence.csv", "density_matrix.json", "marginals.csv", "photon_distribution.csv",
+        "rho_pp.csv", "rho_xx.csv", "wigner.csv", "wigner_xsection.csv",
+    ]
 
 
 @pytest.mark.parametrize(

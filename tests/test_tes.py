@@ -224,8 +224,10 @@ def test_confusion_accepts_numpy_integer_seed():
 
 
 def test_confusion_matrix_validation_and_csv(tmp_path):
-    with pytest.raises(DomainError):
-        ConfusionMatrix(np.array([[0.5, 0.2], [0.0, 1.0]]), 1)
+    for bad in ([[0.5, 0.2], [0.0, 1.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0], [[[1.0]]]):
+        with pytest.raises(DomainError):
+            ConfusionMatrix(np.array(bad))
+    assert ConfusionMatrix(np.eye(3)).n_max == 2
     cm = confusion(TesParams(energy_resolution_ev=1e-6, noise_floor=0.0), 2, trials=3000, seed=3)
     path = tmp_path / "confusion.csv"
     cm.to_csv(path)
