@@ -36,7 +36,6 @@ from .sampler import (
     HomodyneDataset,
     PhasePlan,
     load_dataset,
-    sample_phase,
     save_dataset,
     synth_dataset,
 )

@@ -19,13 +19,7 @@ from .errors import (
     TruncationBudgetError,
     ZeroProbabilityError,
 )
-from .fock import (
-    DEFAULT_TAIL_TOL,
-    DensityMatrix,
-    SqueezeSpec,
-    StateVector,
-    squeezed_vacuum,
-)
+from .fock import DensityMatrix, SqueezeSpec, StateVector, squeezed_vacuum
 
 _MAX_JOINT_DIM = 4096  # signal x idler amplitudes; guards cutoffs read from an INI file
 
@@ -82,11 +76,10 @@ class ExperimentParams:
 
 @dataclass(frozen=True)
 class HeraldResult:
-    """Conditioned signal state plus heralding probability and event rate."""
+    """Conditioned signal state plus its heralding probability."""
 
     state: DensityMatrix
     herald_probability: float
-    estimated_rate: float
 
 
 def _loss_kraus(dim: int, eta: float) -> list[np.ndarray]:
@@ -146,9 +139,7 @@ def _povm_diagonal(n: int, eta_i: float, idler_cutoff: int) -> np.ndarray:
     return diag
 
 
-def _tapped_branches(
-    params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
-) -> tuple[tuple[float, np.ndarray], ...]:
+def _tapped_branches(params: ExperimentParams) -> tuple[tuple[float, np.ndarray], ...]:
     """Pure-state decomposition of the lossy source after the tap.
 
     The source state after the OPA loss is mixed; each eigenvector is sent
@@ -165,17 +156,15 @@ def _tapped_branches(
     they are built once per source and tap and shared, read-only.
     """
     return _source_branches(
-        params.cutoff, params.squeeze, params.opa_loss, params.bs_reflectivity,
-        params.idler_cutoff, tail_tol,
+        params.cutoff, params.squeeze, params.opa_loss, params.bs_reflectivity, params.idler_cutoff
     )
 
 
 @lru_cache(maxsize=8)
 def _source_branches(
-    cutoff: int, squeeze: SqueezeSpec, opa_loss: float, bs_reflectivity: float,
-    idler_cutoff: int, tail_tol: float,
+    cutoff: int, squeeze: SqueezeSpec, opa_loss: float, bs_reflectivity: float, idler_cutoff: int
 ) -> tuple[tuple[float, np.ndarray], ...]:
-    psi = squeezed_vacuum(squeeze, cutoff, tail_tol)
+    psi = squeezed_vacuum(squeeze, cutoff)
     rho = np.asarray(loss_channel(psi.to_density(), 1.0 - opa_loss).elements)
     n = np.arange(cutoff + 1)
     if np.any(rho[(n[:, None] + n[None, :]) % 2 == 1]):
@@ -210,16 +199,15 @@ def _conditioned_signal(
     return rho_u, float(np.trace(rho_u).real)
 
 
-def herald_subtract(params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL) -> HeraldResult:
+def herald_subtract(params: ExperimentParams) -> HeraldResult:
     """Run the full subtraction pipeline and condition on herald_n idler photons.
 
     Order: squeezed source -> source loss -> beam-splitter tap -> lossy
     photon-number POVM on the idler -> partial trace and renormalization ->
     signal-side loss. The heralding probability is the conditioned trace
-    before renormalization; the event rate multiplies in repetition rate and
-    duty cycle.
+    before renormalization; `count_rate_table` turns it into an event rate.
     """
-    branches = _tapped_branches(params, tail_tol)
+    branches = _tapped_branches(params)
     povm = _povm_diagonal(params.herald_n, params.idler_efficiency, params.idler_cutoff)
     rho_u, prob = _conditioned_signal(branches, povm)
     if prob < 1e-300:
@@ -228,8 +216,7 @@ def herald_subtract(params: ExperimentParams, tail_tol: float = DEFAULT_TAIL_TOL
         )
     rho = DensityMatrix(0.5 * (rho_u + rho_u.conj().T) / prob)
     rho = loss_channel(rho, params.signal_efficiency)
-    rate = prob * params.rep_rate_hz * params.duty_cycle
-    return HeraldResult(state=rho, herald_probability=prob, estimated_rate=rate)
+    return HeraldResult(state=rho, herald_probability=prob)
 
 
 def herald_probabilities(params: ExperimentParams) -> np.ndarray:

@@ -90,7 +90,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         _check_shape(amps.shape, 1)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN too
             raise DomainError(f"state vector norm {norm} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amplitudes", _readonly(amps))
 
@@ -171,17 +171,15 @@ def load_density_matrix(path: str | Path) -> DensityMatrix:
         raise SchemaError(f"{path} holds no density matrix ({exc})") from None
 
 
-def _check_tail(tail: float, tail_tol: float, what: str) -> None:
-    if tail > tail_tol:
+def _check_tail(tail: float, what: str) -> None:
+    if not tail <= DEFAULT_TAIL_TOL:
         raise TruncationError(
-            f"{what}: truncated tail weight {tail:.3e} exceeds {tail_tol:.1e}; "
-            "raise the cutoff or pass a larger tail_tol"
+            f"{what}: truncated tail weight {tail:.3e} exceeds {DEFAULT_TAIL_TOL:.1e}; "
+            "raise the cutoff"
         )
 
 
-def squeezed_vacuum(
-    spec: SqueezeSpec, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> StateVector:
+def squeezed_vacuum(spec: SqueezeSpec, cutoff: int) -> StateVector:
     """Squeezed vacuum with the position quadrature squeezed below 1/2.
 
     Even amplitudes follow c_{2k} = N·(−tanh r)^k·√((2k)!)/(2^k k!); the sign
@@ -196,37 +194,41 @@ def squeezed_vacuum(
     for k in range(1, (d - 1) // 2 + 1):
         # c_{2k} = -tanh(r)·sqrt((2k-1)/(2k)) · c_{2k-2}
         amps[2 * k] = -t * math.sqrt((2 * k - 1) / (2 * k)) * amps[2 * k - 2]
-    amps /= math.sqrt(math.cosh(r))  # exact untruncated normalization
+    try:
+        amps /= math.sqrt(math.cosh(r))  # exact untruncated normalization
+    except OverflowError:  # r > 710.47: no cutoff holds any of the weight
+        amps[:] = 0.0
     tail = max(0.0, 1.0 - float(np.sum(np.abs(amps) ** 2)))
-    _check_tail(tail, tail_tol, f"squeezed_vacuum(r={r:.4g}, cutoff={cutoff})")
+    _check_tail(tail, f"squeezed_vacuum(r={r:.4g}, cutoff={cutoff})")
     return StateVector.normalize(amps)
+
+
+def _modulus_squared(alpha: complex) -> float:
+    """|alpha|^2, or inf beyond the float range (no cutoff holds any weight there)."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Truncated coherent amplitudes e^{-|a|^2/2}·a^n/√(n!) by stable recurrence."""
     c = np.zeros(dim, dtype=complex)
-    c[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+    c[0] = math.exp(-_modulus_squared(alpha) / 2.0)
     for n in range(dim - 1):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1)
     return c
 
 
-def coherent_state(
-    alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> StateVector:
+def coherent_state(alpha: complex, cutoff: int) -> StateVector:
     """Coherent state |alpha>, renormalized after truncation."""
     c = _coherent_amplitudes(complex(alpha), cutoff + 1)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(c) ** 2)))
-    _check_tail(tail, tail_tol, f"coherent_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
+    _check_tail(tail, f"coherent_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
     return StateVector.normalize(c)
 
 
-def cat_state(
-    alpha: complex,
-    parity: Literal["even", "odd"],
-    cutoff: int,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> StateVector:
+def cat_state(alpha: complex, parity: Literal["even", "odd"], cutoff: int) -> StateVector:
     """Normalized |alpha> ± |-alpha| superposition.
 
     The even cat has support only on even photon numbers and tends to the
@@ -242,18 +244,16 @@ def cat_state(
     n = np.arange(cutoff + 1)
     raw = c * (1.0 + sign * (-1.0) ** n)
     # exact norm of |a> ± |-a> is 2(1 ± e^{-2|a|^2}); tail measured against it
-    norm2_exact = 2.0 * (1.0 + sign * math.exp(-2.0 * abs(alpha) ** 2))
+    norm2_exact = 2.0 * (1.0 + sign * math.exp(-2.0 * _modulus_squared(alpha)))
     tail = max(0.0, 1.0 - float(np.sum(np.abs(raw) ** 2)) / norm2_exact)
-    _check_tail(tail, tail_tol, f"cat_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
+    _check_tail(tail, f"cat_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
     return StateVector.normalize(raw)
 
 
-def mixed_coherent(
-    alpha: complex, cutoff: int, tail_tol: float = DEFAULT_TAIL_TOL
-) -> DensityMatrix:
+def mixed_coherent(alpha: complex, cutoff: int) -> DensityMatrix:
     """Equal-weight classical mixture of |alpha><alpha| and |-alpha><-alpha|."""
-    plus = coherent_state(alpha, cutoff, tail_tol)
-    minus = coherent_state(-alpha, cutoff, tail_tol)
+    plus = coherent_state(alpha, cutoff)
+    minus = coherent_state(-alpha, cutoff)
     rho = 0.5 * (
         np.outer(plus.amplitudes, plus.amplitudes.conj())
         + np.outer(minus.amplitudes, minus.amplitudes.conj())

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import DegenerateDistributionError, DomainError, ParseError, SchemaError
 from .export import fields, write_rows
 from .fock import DensityMatrix
-from .phasespace import marginal, marginal_sweep
+from .phasespace import marginal  # noqa: F401  (benchmarks/tracing.py patches this name)
+from .phasespace import marginal_sweep
 
 DEFAULT_PHASES_DEG = (-45.0, -22.5, 0.0, 22.5, 45.0, 90.0)
 DEFAULT_SAMPLES_PER_PHASE = 10_000
@@ -131,21 +132,14 @@ def _inverse_cdf_draws(pdf: np.ndarray, count: int, seed: int) -> np.ndarray:
     return np.interp(u, cdf, _CDF_GRID)
 
 
-def sample_phase(rho: DensityMatrix, theta_deg: float, count: int, seed: int) -> np.ndarray:
-    """Draw i.i.d. quadrature values at one phase by inverse-CDF interpolation."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    pdf = marginal(rho, np.deg2rad(theta_deg), _CDF_GRID)
-    return _inverse_cdf_draws(pdf, count, seed)
-
-
 def synth_dataset(
     rho: DensityMatrix, plan: PhasePlan, seed: int, source_id: str = "state"
 ) -> HomodyneDataset:
     """Concatenated per-phase draws with derived sub-seeds and full metadata.
 
-    Every phase's pdf comes from one marginal sweep on the sampling grid; the
-    draws at each phase are those `sample_phase` makes with the sub-seed.
+    Every phase's pdf comes from one marginal sweep on the sampling grid, and
+    phase i draws its values by inverse-CDF interpolation from its own
+    sub-seed, so each phase's draws do not depend on the other phases.
     """
     pdfs = marginal_sweep(rho, plan.phases_deg, _CDF_GRID)
     count = plan.samples_per_phase

@@ -64,11 +64,9 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
-from . import export
 from .errors import DomainError
 
 FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -180,11 +178,6 @@ class ConfusionMatrix:
     def off_diagonal_mass(self) -> float:
         m = self.matrix
         return float(m.sum() - np.trace(m)) / len(m)
-
-    def to_csv(self, path: str | Path) -> None:
-        labels = [str(j) for j in range(len(self.matrix))]
-        head = ["true\\assigned," + ",".join(labels)]
-        export.write_rows(path, head, [(labels, *map(export.fields, self.matrix.T))])
 
 
 def adjacent_confusion_estimate(params: TesParams) -> float:

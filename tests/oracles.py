@@ -9,6 +9,8 @@ different route from the kernel it checks, and none checks its inputs:
   phase_rotated                             phasespace.marginal's phase factors
   povm_projector                            tomography._PhaseTables (likelihood, R and gap)
   trace_distance                            tomography.mle_reconstruct (large-sample limit)
+  sample_phase                              sampler.synth_dataset (one marginal per phase,
+                                            not one sweep; the sampler's own inverse CDF)
 """
 
 import math
@@ -16,6 +18,8 @@ import math
 import numpy as np
 
 from catsim.fock import DensityMatrix, StateVector, quadrature_basis
+from catsim.phasespace import marginal
+from catsim.sampler import _CDF_GRID, _inverse_cdf_draws
 
 
 class QuadratureError(ArithmeticError):
@@ -142,3 +146,9 @@ def povm_projector(theta_deg: float, q: float, cutoff: int) -> np.ndarray:
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b."""
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a.elements - b.elements))))
+
+
+def sample_phase(rho: DensityMatrix, theta_deg: float, count: int, seed: int) -> np.ndarray:
+    """count quadrature draws at one phase, by the sampler's inverse CDF of the
+    single-phase marginal on the sampler's grid, from default_rng(seed)."""
+    return _inverse_cdf_draws(marginal(rho, np.deg2rad(theta_deg), _CDF_GRID), count, seed)

@@ -89,7 +89,7 @@ def test_paper_defaults():
 
 
 def test_loss_identity_and_total_loss():
-    sv = squeezed_vacuum(SqueezeSpec(0.3), 8, tail_tol=1e-4)
+    sv = squeezed_vacuum(SqueezeSpec(0.3), 10)
     rho = sv.to_density()
     out = loss_channel(rho, 1.0)
     assert np.allclose(out.elements, rho.elements)
@@ -119,7 +119,7 @@ def test_loss_trace_preserving():
 @settings(max_examples=30, deadline=None)
 @given(r=st.floats(0.0, 0.8), eta1=UNIT, eta2=UNIT)
 def test_loss_composition_identity(r, eta1, eta2):
-    rho = squeezed_vacuum(SqueezeSpec(r), 12, tail_tol=1e-2).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(r), 28).to_density()
     a = loss_channel(loss_channel(rho, eta1), eta2)
     b = loss_channel(rho, eta1 * eta2)
     assert np.max(np.abs(a.elements - b.elements)) < 1e-10
@@ -139,7 +139,7 @@ def split(state, reflectivity, idler_cutoff):
 
 
 def test_beamsplitter_full_reflection():
-    sv = squeezed_vacuum(SqueezeSpec(0.2), 6, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.2), 6)
     amps = split(sv, 1.0, 4)
     assert np.allclose(amps[:, 0], sv.amplitudes)
     assert np.all(amps[:, 1:] == 0)
@@ -162,11 +162,11 @@ def test_beamsplitter_matches_the_50_50_oracle():
 
 
 def test_beamsplitter_conserves_total_photon_number():
-    sv = squeezed_vacuum(SqueezeSpec(0.4), 8, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 12)
     for refl in (0.3, 0.81, 0.97):
-        amps = split(sv, refl, 8)
-        total = np.add.outer(np.arange(9), np.arange(9)).ravel()
-        marg = np.bincount(total, (np.abs(amps) ** 2).ravel())[:9]
+        amps = split(sv, refl, 12)
+        total = np.add.outer(np.arange(13), np.arange(13)).ravel()
+        marg = np.bincount(total, (np.abs(amps) ** 2).ravel())[:13]
         assert np.max(np.abs(marg - np.abs(sv.amplitudes) ** 2)) < 1e-10
 
 
@@ -228,13 +228,6 @@ def test_herald_trivial_passthrough():
     assert fidelity(res.state, sv.to_density()) > 1 - 1e-12
 
 
-def test_herald_rate_invariant():
-    res = herald_subtract(PAPER.with_herald(2))
-    assert res.estimated_rate == pytest.approx(
-        res.herald_probability * PAPER.rep_rate_hz * PAPER.duty_cycle, rel=1e-12
-    )
-
-
 def brute_force_two_mode_projection(c, refl, k):
     """Independent oracle: explicit binomial amplitudes, project idler on |k>."""
     dim = c.size
@@ -259,13 +252,13 @@ def test_herald_lossless_single_subtraction_oracles():
         idler_efficiency=1.0,
         signal_efficiency=1.0,
         herald_n=1,
-        cutoff=8,
+        cutoff=10,
         idler_cutoff=8,
     )
-    res = herald_subtract(params, tail_tol=1e-4)
+    res = herald_subtract(params)
 
     # oracle 1: brute-force projection of the joint state
-    sv = squeezed_vacuum(SqueezeSpec(r), 8, tail_tol=1e-4)
+    sv = squeezed_vacuum(SqueezeSpec(r), 10)
     c_proj, _ = brute_force_two_mode_projection(np.asarray(sv.amplitudes), refl, 1)
     brute = StateVector(c_proj).to_density()
     assert fidelity(res.state, brute) > 1 - 1e-8
@@ -273,7 +266,7 @@ def test_herald_lossless_single_subtraction_oracles():
     # oracle 2: annihilation applied to the re-squeezed signal-arm state,
     # tanh r' = R tanh r
     r_eff = math.atanh(refl * math.tanh(r))
-    resq = squeezed_vacuum(SqueezeSpec(r_eff), 8, tail_tol=1e-4)
+    resq = squeezed_vacuum(SqueezeSpec(r_eff), 10)
     sub, _ = apply_annihilation(resq)
     assert fidelity(res.state, sub.to_density()) > 1 - 1e-8
 
@@ -289,7 +282,7 @@ def test_zero_loss_heralding_parity():
         idler_cutoff=8,
     )
     for n in range(4):
-        res = herald_subtract(params.with_herald(n), tail_tol=1e-3)
+        res = herald_subtract(params.with_herald(n))
         diag = res.state.diagonal
         wrong = diag[1::2] if n % 2 == 0 else diag[0::2]
         assert np.sum(np.abs(wrong)) < 1e-12
@@ -352,7 +345,7 @@ def test_herald_states_are_parity_exact_and_match_full_eigh(params):
 
 def test_source_coupling_parities_is_refused(monkeypatch):
     monkeypatch.setattr(
-        channels, "squeezed_vacuum", lambda spec, cutoff, tail_tol: coherent_state(0.5, cutoff)
+        channels, "squeezed_vacuum", lambda spec, cutoff: coherent_state(0.5, cutoff)
     )
     channels._source_branches.cache_clear()  # build the branches from the patched source
     with pytest.raises(DomainError, match="even and odd"):
@@ -360,9 +353,9 @@ def test_source_coupling_parities_is_refused(monkeypatch):
 
 
 def test_povm_equals_idler_loss_channel():
-    # brute force at cutoff 8: idler loss as a Kraus channel then an ideal
+    # brute force at idler cutoff 8: idler loss as a Kraus channel then an ideal
     # |n><n| projection must equal the deformed-POVM shortcut
-    sv = squeezed_vacuum(SqueezeSpec(0.4), 8, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.4), 12)
     amps = split(sv, 0.8, 8)
     lossy = idler_loss(amps, 0.4)
     for n in range(4):
@@ -373,7 +366,7 @@ def test_povm_equals_idler_loss_channel():
 def test_bs_phase_convention_independence():
     # heralded outcomes are identical for both signs of the beam-splitter
     # generator because the idler POVM is diagonal
-    cut = 6
+    cut = 10
     dim = cut + 1
     a = np.diag(np.sqrt(np.arange(1, dim)), k=1)
     down = np.kron(a, np.eye(dim))  # signal
@@ -381,7 +374,7 @@ def test_bs_phase_convention_independence():
     refl = 0.75
     theta = math.acos(math.sqrt(refl))
     gen = down.conj().T @ up - down @ up.conj().T
-    sv = squeezed_vacuum(SqueezeSpec(0.35), cut, tail_tol=1e-3)
+    sv = squeezed_vacuum(SqueezeSpec(0.35), cut)
     joint_in = np.kron(np.asarray(sv.amplitudes), np.eye(dim)[0])
     for sign in (+1.0, -1.0):
         u = expm(sign * theta * gen)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from catsim.errors import (
+    CatsimError,
     DimensionMismatch,
     DomainError,
     SchemaError,
@@ -128,11 +129,30 @@ def test_squeezed_vacuum_mean_photon_is_sinh_squared():
 
 
 def test_squeezed_vacuum_truncation_error():
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match="raise the cutoff$"):
         squeezed_vacuum(SqueezeSpec(1.5), 8)
-    # explicit override accepts the tail
-    sv = squeezed_vacuum(SqueezeSpec(1.5), 8, tail_tol=0.5)
-    assert abs(np.linalg.norm(sv.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("r, cutoff", [(0.3, 10), (0.4, 12), (0.5, 14)])
+def test_squeezed_vacuum_tail_bound_sits_at_one_in_a_million(r, cutoff):
+    squeezed_vacuum(SqueezeSpec(r), cutoff)
+    with pytest.raises(TruncationError, match="exceeds 1.0e-06"):
+        squeezed_vacuum(SqueezeSpec(r), cutoff - 1)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: coherent_state(math.nan, 5),
+        lambda: coherent_state(math.inf, 5),
+        lambda: cat_state(math.nan, "even", 5),
+    ],
+    ids=["coherent-nan", "coherent-inf", "cat-nan"],
+)
+def test_non_finite_alpha_is_refused(make):
+    with pytest.raises(CatsimError):
+        make()
 
 
 # ---------------------------------------------------------------- coherent / cat / mixture

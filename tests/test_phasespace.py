@@ -371,7 +371,7 @@ def test_marginal_sweep_shape():
 
 
 def test_csv_exports(tmp_path):
-    rho = squeezed_vacuum(SqueezeSpec(0.3), 8, tail_tol=1e-3).to_density()
+    rho = squeezed_vacuum(SqueezeSpec(0.3), 10).to_density()
     grid = np.linspace(-2, 2, 5)
     p_quad = tmp_path / "quad.csv"
     save_quad_csv(grid, math.pi / 2, rho_quad(rho, math.pi / 2, grid), p_quad)

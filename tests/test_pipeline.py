@@ -167,6 +167,22 @@ def test_joint_dimension_over_budget_is_a_config_error(tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, key, value",
+    [("subtraction", "squeeze_db", "6172.0"), ("cat_panels", "alpha_im", "1.4e154")],
+)
+def test_a_state_beyond_the_float_range_is_a_truncation_error(tmp_path, capsys, mode, key, value):
+    # cosh(r) and |alpha|^2 overflow here; a value just below ends the same way
+    text = light_config(mode=mode).to_ini()
+    changed = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, count=1, flags=re.M)
+    assert changed != text
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(changed)
+    argv = ["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")]
+    assert cli_main(argv) == 3
+    assert "truncated tail weight 1.000e+00 exceeds 1.0e-06" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- stages
 
 

@@ -29,11 +29,10 @@ from catsim.sampler import (
     _META,
     _subseed,
     load_dataset,
-    sample_phase,
     save_dataset,
     synth_dataset,
 )
-from oracles import phase_rotated
+from oracles import phase_rotated, sample_phase
 
 CUTOFF = 30
 
