@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import resolve_config
+from .config import PRESETS, preset, resolve_config
 from .errors import CatsimError, ConfigError, MissingInputError
 
 EXIT_OK = 0
@@ -39,13 +39,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--config",
             required=True,
-            help="path to a run config INI, or a preset name "
-            "(default, lossless, pure_subtraction, cat_panels)",
+            help=f"path to a run config INI, or a preset name ({', '.join(PRESETS)})",
         )
         p.add_argument("--out", required=True, help="output directory of the run")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
     show = sub.add_parser("preset", help="print a preset config to stdout")
-    show.add_argument("name", help="default, lossless, pure_subtraction, or cat_panels")
+    show.add_argument("name", help=", ".join(PRESETS))
     return parser
 
 
@@ -53,8 +52,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.stage == "preset":
-            from .config import preset
-
             sys.stdout.write(preset(args.name).to_ini())
             return EXIT_OK
         cfg = resolve_config(args.config)

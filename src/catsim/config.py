@@ -20,7 +20,7 @@ from pathlib import Path
 from .channels import ExperimentParams
 from .errors import ConfigError
 from .export import write_text
-from .fock import SqueezeSpec
+from .fock import SqueezeSpec, _modulus_squared
 from .sampler import PhasePlan
 from .tomography import MleConfig
 
@@ -79,7 +79,9 @@ class CatSpec:
     loss: float = 0.3
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.alpha) and self.alpha != 0 and 0.0 <= self.loss <= 1.0):
+        # the odd cat is undefined where |alpha|^2 is 0, also where it underflows
+        nonzero = cmath.isfinite(self.alpha) and _modulus_squared(self.alpha) > 0
+        if not (nonzero and 0.0 <= self.loss <= 1.0):
             raise ConfigError(f"cat needs a finite nonzero alpha and a loss in [0, 1], got {self}")
 
     @property
@@ -167,34 +169,37 @@ def load_config(path: str | Path) -> RunConfig:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {p} does not exist")
-    return RunConfig.from_ini(p.read_text(encoding="ascii"))
+    try:
+        text = p.read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {p} is not ASCII text ({exc})") from None
+    return RunConfig.from_ini(text)
+
+
+# named parameter sets: the as-built experiment, the same with no loss, the pure
+# four-subtraction pair, and the ideal/lossy cat comparison panels
+PRESETS = {
+    "default": RunConfig,
+    "lossless": lambda: RunConfig(
+        experiment=ExperimentParams(opa_loss=0.0, idler_efficiency=1.0, signal_efficiency=1.0)
+    ),
+    "pure_subtraction": lambda: RunConfig(
+        experiment=ExperimentParams(
+            squeeze=SqueezeSpec(0.576),
+            opa_loss=0.0,
+            idler_efficiency=1.0,
+            signal_efficiency=1.0,
+        )
+    ),
+    "cat_panels": lambda: RunConfig(mode=CAT_PANELS_MODE),
+}
 
 
 def preset(name: str) -> RunConfig:
-    """Named parameter sets: the as-built experiment, its lossless twin, the
-    pure four-subtraction pair, and the ideal/lossy cat comparison panels."""
-    if name == "default":
-        return RunConfig()
-    if name == "lossless":
-        return RunConfig(
-            experiment=ExperimentParams(
-                opa_loss=0.0, idler_efficiency=1.0, signal_efficiency=1.0
-            )
-        )
-    if name == "pure_subtraction":
-        return RunConfig(
-            experiment=ExperimentParams(
-                squeeze=SqueezeSpec(0.576),
-                opa_loss=0.0,
-                idler_efficiency=1.0,
-                signal_efficiency=1.0,
-            )
-        )
-    if name == "cat_panels":
-        return RunConfig(mode=CAT_PANELS_MODE)
-    raise ConfigError(
-        f"unknown preset {name!r}; choose from default, lossless, pure_subtraction, cat_panels"
-    )
+    """The RunConfig that PRESETS names `name`."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; choose from {', '.join(PRESETS)}")
+    return PRESETS[name]()
 
 
 def resolve_config(spec: str) -> RunConfig:

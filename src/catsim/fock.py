@@ -232,19 +232,22 @@ def cat_state(alpha: complex, parity: Literal["even", "odd"], cutoff: int) -> St
     """Normalized |alpha> ± |-alpha| superposition.
 
     The even cat has support only on even photon numbers and tends to the
-    vacuum as alpha -> 0; the odd cat is undefined at alpha = 0.
+    vacuum as alpha -> 0; the odd cat is undefined where |alpha|^2 is 0,
+    also where it underflows to 0.
     """
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
     alpha = complex(alpha)
     sign = 1.0 if parity == "even" else -1.0
-    if parity == "odd" and alpha == 0:
-        raise DomainError("odd cat state is undefined at alpha = 0")
+    modulus2 = _modulus_squared(alpha)
+    if parity == "odd" and modulus2 == 0:
+        raise DomainError(f"odd cat state is undefined where |alpha|^2 is 0 (alpha = {alpha})")
     c = _coherent_amplitudes(alpha, cutoff + 1)
     n = np.arange(cutoff + 1)
     raw = c * (1.0 + sign * (-1.0) ** n)
-    # exact norm of |a> ± |-a> is 2(1 ± e^{-2|a|^2}); tail measured against it
-    norm2_exact = 2.0 * (1.0 + sign * math.exp(-2.0 * _modulus_squared(alpha)))
+    # exact norm of |a> ± |-a> is 2(1 ± e^{-2|a|^2}), written with expm1 so that
+    # the odd cat's does not cancel at small |a|; the tail is measured against it
+    norm2_exact = 2.0 * (1.0 + sign) + 2.0 * sign * math.expm1(-2.0 * modulus2)
     tail = max(0.0, 1.0 - float(np.sum(np.abs(raw) ** 2)) / norm2_exact)
     _check_tail(tail, f"cat_state(|alpha|={abs(alpha):.4g}, cutoff={cutoff})")
     return StateVector.normalize(raw)

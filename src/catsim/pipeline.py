@@ -43,7 +43,7 @@ from .phasespace import (
     save_wigner_csv,
     wigner,
 )
-from .sampler import load_dataset, save_dataset, synth_dataset
+from .sampler import _subseed, load_dataset, save_dataset, synth_dataset
 from .tomography import bootstrap, mle_reconstruct
 
 _STAGE_IDS = {"sample": 1, "bootstrap": 2}
@@ -76,11 +76,6 @@ def _recorded_file_problem(out: Path, rel: str, digest: str) -> str | None:
     if _sha256(path) != digest:
         return "checksum mismatch"
     return None
-
-
-def _stage_seed(seed: int, stage: str, index: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(_STAGE_IDS[stage], int(index)))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -120,20 +115,22 @@ def _update_manifest(out: Path, cfg: RunConfig, stage: str, files: list[Path], w
     _write_json(manifest, manifest_path)
 
 
-def _require(out: Path, stage: str, needed: str, cfg: RunConfig) -> dict:
+def _require(out: Path, stage: str, cfg: RunConfig, *needs: str) -> dict:
+    """The run record, read once, after checking it holds every stage in `needs`."""
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
-        raise MissingInputError(needed, f"no manifest under {out}; run '{needed}' first")
+        raise MissingInputError(needs[0], f"no manifest under {out}; run '{needs[0]}' first")
     manifest = _read_manifest(manifest_path)
     if manifest is None:
-        raise MissingInputError(needed, f"{manifest_path} is unreadable; rerun from 'simulate'")
+        raise MissingInputError(needs[0], f"{manifest_path} is unreadable; rerun from 'simulate'")
     if manifest.get("config_hash") != cfg.config_hash():
         raise ConfigError(
             f"stage '{stage}' was given a different configuration (or seed) than the "
             f"earlier stages recorded under {out}"
         )
-    if needed not in manifest["stages"]:
-        raise MissingInputError(needed, f"stage '{stage}' needs '{needed}' outputs first")
+    for needed in needs:
+        if needed not in manifest["stages"]:
+            raise MissingInputError(needed, f"stage '{stage}' needs '{needed}' outputs first")
     return manifest
 
 
@@ -235,14 +232,15 @@ def simulate(cfg: RunConfig, out: str | Path) -> list[Path]:
 def sample(cfg: RunConfig, out: str | Path) -> list[Path]:
     """Draw synthetic homodyne datasets from each simulated state."""
     out = Path(out)
-    _require(out, "sample", "simulate", cfg)
+    _require(out, "sample", cfg, "simulate")
     t0 = time.perf_counter()
     files: list[Path] = []
     ds_dir = out / "datasets"
     ds_dir.mkdir(parents=True, exist_ok=True)
     for i, name in enumerate(state_names(cfg)):
         rho = load_density_matrix(_input(out, "simulate", f"states/{name}/density_matrix.json"))
-        ds = synth_dataset(rho, cfg.plan, _stage_seed(cfg.seed, "sample", i), source_id=name)
+        seed = _subseed(cfg.seed, _STAGE_IDS["sample"], i)
+        ds = synth_dataset(rho, cfg.plan, seed, source_id=name)
         path = ds_dir / f"{name}.csv"
         save_dataset(ds, path)
         files.append(path)
@@ -257,7 +255,7 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
     stays honest by consuming nothing but the sampled records.
     """
     out = Path(out)
-    manifest = _require(out, "reconstruct", "sample", cfg)
+    manifest = _require(out, "reconstruct", cfg, "sample")
     for rel in manifest["stages"]["sample"]["files"]:
         _input(out, "sample", rel)
     t0 = time.perf_counter()
@@ -278,8 +276,7 @@ def reconstruct(cfg: RunConfig, out: str | Path) -> list[Path]:
 def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
     """Compare simulation against reconstruction, with bootstrap error bars."""
     out = Path(out)
-    _require(out, "analyze", "simulate", cfg)
-    _require(out, "analyze", "reconstruct", cfg)
+    _require(out, "analyze", cfg, "simulate", "reconstruct")
     t0 = time.perf_counter()
     files: list[Path] = []
     summary: dict = {"config_hash": cfg.config_hash(), "mode": cfg.mode, "states": {}}
@@ -288,7 +285,7 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
         rec = load_density_matrix(_input(out, "reconstruct", f"recon/{name}/density_matrix.json"))
         common = max(len(sim.diagonal), len(rec.diagonal)) - 1
         ds = load_dataset(_input(out, "sample", f"datasets/{name}.csv"))
-        seed = _stage_seed(cfg.seed, "bootstrap", i)
+        seed = _subseed(cfg.seed, _STAGE_IDS["bootstrap"], i)
         rep = bootstrap(ds, cfg.mle, replicas=cfg.bootstrap_replicas, seed=seed)
         boot_path = out / "recon" / name / "bootstrap.json"
         _write_json(rep.to_dict(), boot_path)
@@ -314,11 +311,6 @@ def analyze(cfg: RunConfig, out: str | Path) -> list[Path]:
                 "sigma": rep.peak_coherence.std,
             },
         }
-    if cfg.mode != CAT_PANELS_MODE:
-        table = count_rate_table(cfg.experiment, cfg.experiment.herald_n)
-        summary["count_rates"] = [
-            {"n": n, "probability": p, "rate_cps": rate} for n, p, rate in table
-        ]
     summary_path = out / "analysis" / "summary.json"
     summary_path.parent.mkdir(parents=True, exist_ok=True)
     _write_json(summary, summary_path)
@@ -331,23 +323,27 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"check": name, "passed": bool(passed), "detail": detail}
 
 
-def _read_wigner_min(out: Path, names: list[str]) -> list[float]:
-    """Min W of each named state on the simulated grid, as simulate wrote it to rates.csv."""
+def _read_rates(out: Path, column: str, names: list[str]) -> list[float]:
+    """The RATES_HEADER column `column` of each named state, as simulate wrote it to rates.csv."""
     path = _input(out, "simulate", "rates.csv")
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not ASCII text ({exc})") from None
     if not lines or lines[0] != RATES_HEADER:
         raise SchemaError(f"{path} lacks the header {RATES_HEADER!r}; rerun 'simulate'")
-    values = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        try:
-            values[row[0]] = float(row[4])
-        except (IndexError, ValueError):
-            raise ParseError(f"unreadable wigner_min in {path.name}: {line!r}", line_no) from None
-    missing = [n for n in names if n not in values]
+    at = RATES_HEADER.split(",").index(column)
+    rows = {line.split(",", 1)[0]: (no, line) for no, line in enumerate(lines[1:], start=2)}
+    missing = [n for n in names if n not in rows]
     if missing:
         raise SchemaError(f"{path} has no row for {missing}")
-    return [values[n] for n in names]
+    values = []
+    for line_no, line in map(rows.get, names):
+        try:
+            values.append(float(line.split(",")[at]))
+        except (IndexError, ValueError):
+            raise ParseError(f"unreadable {column} in {path.name}: {line!r}", line_no) from None
+    return values
 
 
 def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
@@ -367,7 +363,7 @@ def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
         )
     )
 
-    minima = _read_wigner_min(out, names[1:])
+    minima = _read_rates(out, "wigner_min", names[1:])
     checks.append(
         _check(
             "wigner_negativity",
@@ -392,9 +388,8 @@ def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
         _check("odd_weight_n0", odd > 0.01, f"odd-photon weight of the n=0 state: {odd:.4f}")
     )
 
-    rates = {row["n"]: row["rate_cps"] for row in summary.get("count_rates", [])}
-    if 3 in rates and 4 in rates:
-        r3, r4 = rates[3], rates[4]
+    if n_max >= 4:
+        r3, r4 = _read_rates(out, "rate_cps", ["herald_3", "herald_4"])
         ratio = r3 / r4 if r4 > 0 else float("inf")
         ok = (
             REFERENCE_RATE_3 / 10 <= r3 <= REFERENCE_RATE_3 * 10
@@ -410,7 +405,6 @@ def _subtraction_checks(cfg: RunConfig, out: Path, summary: dict) -> list[dict]:
             )
         )
 
-    if n_max >= 4:
         c4 = summary["states"]["herald_4"]["peak_coherence"]
         c1 = summary["states"]["herald_1"]["peak_coherence"]["simulated"]
         c3 = summary["states"]["herald_3"]["peak_coherence"]["simulated"]
@@ -500,7 +494,7 @@ def report(cfg: RunConfig, out: str | Path) -> tuple[dict, bool]:
     Returns the report payload and whether every check passed.
     """
     out = Path(out)
-    manifest = _require(out, "report", "analyze", cfg)
+    manifest = _require(out, "report", cfg, "analyze")
     t0 = time.perf_counter()
 
     integrity_failures = [

@@ -111,9 +111,9 @@ class HomodyneDataset:
         return int(self.q.size)
 
 
-def _subseed(seed: int, index: int) -> int:
-    """Order-independent 64-bit sub-seed for stream `index` of a dataset."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
+def _subseed(seed: int, *key: int) -> int:
+    """Order-independent 64-bit sub-seed for the stream that `key` names under `seed`."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(map(int, key)))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 

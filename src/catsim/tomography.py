@@ -153,14 +153,13 @@ class _PhaseTables:
 
     <n|q_j,theta> = psi_n(q_j)·u_n with u = e^{i n theta}, so every record
     of one phase shares u, and p_j = b_theta · phi(q_j) with
-    b_theta = A·vec(Re(U^† rho U)) (see catsim.phasespace). `amap` is A
-    with (n, m) flattened, exactly zero unless k <= n + m and k = n + m
-    (mod 2). `weights` and `index` run phase by phase, in the column order
-    of `phi`. At 60k records and cutoff 15 the phi tables hold 14.2 MB.
+    b_theta = A·vec(Re(U^† rho U)), A = _product_map(cutoff) (see
+    catsim.phasespace). `weights` and `index` run phase by phase, in the
+    column order of `phi`. At 60k records and cutoff 15 the phi tables hold
+    14.2 MB.
     """
 
     phases: np.ndarray  # conj(u_n)·u_m, u = e^{i n theta}, shape (phases, dim, dim)
-    amap: np.ndarray  # A[k, n·dim + m], shape (2·cutoff + 1, dim^2)
     phi: list[np.ndarray]  # real phi_k(q_j), shape (2·cutoff + 1, rows), per phase
     weights: np.ndarray  # records counted per column: 1 per record, or per bin
     index: np.ndarray  # dataset record index per column, or the bin number
@@ -182,7 +181,7 @@ class _PhaseTables:
         per phase, then one small GEMM and one broadcast product."""
         c = self.weights / p
         moments = np.stack([phi @ c[cols] for phi, cols in zip(self.phi, self.columns)])
-        g = (moments @ self.amap).reshape(self.phases.shape)
+        g = (moments @ _product_map(self.phases.shape[1] - 1)).reshape(self.phases.shape)
         return np.einsum("tnm,tnm->nm", self.phases, g).conj()
 
     def log_likelihood(self, rho: np.ndarray, when: str) -> tuple[np.ndarray, float]:
@@ -245,11 +244,10 @@ def _phase_tables(
         weights.append(counts)
     weights = np.concatenate(weights, dtype=float)
     factors = _phase_table(_phase_factors(np.deg2rad(phases), cutoff + 1))
-    amap = _product_map(cutoff)
     if bin_width is None:
-        return _PhaseTables(factors, amap, phi, weights, np.concatenate(index), "records")
+        return _PhaseTables(factors, phi, weights, np.concatenate(index), "records")
     unit = "histogram bins (numbered phase by phase, ascending q)"
-    return _PhaseTables(factors, amap, phi, weights, np.arange(weights.size), unit)
+    return _PhaseTables(factors, phi, weights, np.arange(weights.size), unit)
 
 
 def _real(x: np.ndarray) -> np.ndarray:

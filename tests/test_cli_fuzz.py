@@ -109,8 +109,6 @@ def test_fuzzed_summary(run, data):
         block[key][data.draw(st.sampled_from(sorted(block[key])))] = data.draw(JSON)
     else:
         block[key] = data.draw(JSON)
-    if data.draw(st.booleans()):
-        summary["count_rates"] = data.draw(JSON)
     text = data.draw(st.just(json.dumps(summary)) | texts(original(run, "analysis/summary.json")))
     assert run_stage(run, "analysis/summary.json", text, "report") in DOCUMENTED_EXIT_CODES
 
@@ -123,6 +121,13 @@ def test_fuzzed_diagnostics(run, data):
     diag[data.draw(st.sampled_from(sorted(diag)))] = data.draw(JSON)
     text = data.draw(st.just(json.dumps(diag)) | texts(original(run, rel)))
     assert run_stage(run, rel, text, "report") in DOCUMENTED_EXIT_CODES
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_rates(run, data):
+    text = data.draw(texts(original(run, "rates.csv")))
+    assert run_stage(run, "rates.csv", text, "report") in DOCUMENTED_EXIT_CODES
 
 
 MATRICES = st.fixed_dictionaries(

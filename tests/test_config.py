@@ -12,7 +12,7 @@ from catsim.channels import ExperimentParams
 from catsim.cli import main as cli_main
 from catsim.config import CAT_PANELS_MODE, SUBTRACTION_MODE, CatSpec, GridSpec, RunConfig, preset
 from catsim.errors import ConfigError, DomainError
-from catsim.fock import SqueezeSpec
+from catsim.fock import SqueezeSpec, _modulus_squared
 from catsim.sampler import PhasePlan
 from catsim.tomography import MleConfig
 
@@ -79,7 +79,7 @@ CONFIGS = st.builds(
         POSITIVE,
     ),
     cat=st.tuples(FINITE, FINITE, UNIT)
-    .filter(lambda c: c[:2] != (0, 0))  # CatSpec refuses alpha = 0
+    .filter(lambda c: _modulus_squared(complex(c[0], c[1])) > 0)  # CatSpec refuses |alpha|^2 = 0
     .map(lambda c: CatSpec(*c)),
     mode=st.sampled_from([SUBTRACTION_MODE, CAT_PANELS_MODE]),
     seed=st.integers(0, 2**64),
@@ -170,6 +170,7 @@ def test_only_cat_and_two_run_keys_may_be_missing(name):
         ("alpha_re", "nan", "cat needs"),
         ("alpha_im", "-inf", "cat needs"),
         ("alpha_im", "0.0", "cat needs a finite nonzero alpha"),  # alpha_re is 0.0 too
+        ("alpha_im", "1e-200", "cat needs a finite nonzero alpha"),  # |alpha|^2 underflows
         ("seed", "-5", "seed must be >= 0, got -5"),
         ("wigner_max", "inf", "grid bounds must be finite"),
         ("wigner_min", "nan", "grid bounds must be finite"),
@@ -201,6 +202,14 @@ def test_a_negative_seed_override_is_refused(tmp_path, capsys):
     assert cli_main(argv) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_config_file_that_is_not_ascii_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_text(preset("default").to_ini() + "# caf\u00e9\n", encoding="utf-8")
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert "is not ASCII text" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()  # refused before anything is written
 
 
 @pytest.mark.parametrize(

@@ -187,9 +187,22 @@ def test_cat_state_small_alpha_limit_is_vacuum():
     assert abs(even.amplitudes[0]) == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("alpha", [1e-4j, 1e-8j, 1e-9j, 1e-150])
+def test_odd_cat_small_alpha_limit_is_one_photon(alpha):
+    # 1 - e^{-2|alpha|^2} loses its digits as alpha -> 0, and is 0 below |alpha| ~ 7e-9
+    odd = cat_state(alpha, "odd", CUTOFF)
+    assert abs(odd.amplitudes[1]) == pytest.approx(1.0, abs=1e-7)
+
+
 def test_odd_cat_at_zero_alpha_rejected():
     with pytest.raises(DomainError):
         cat_state(0.0, "odd", CUTOFF)
+
+
+@pytest.mark.parametrize("alpha", [1e-200j, 1e-163])
+def test_odd_cat_where_alpha_squared_underflows_is_rejected(alpha):
+    with pytest.raises(DomainError, match="undefined where"):
+        cat_state(alpha, "odd", CUTOFF)
 
 
 def test_mixed_coherent_vacuum_case():

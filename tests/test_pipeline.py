@@ -105,7 +105,7 @@ def test_default_herald_4_at_seed_312_reconstructs_above_the_fidelity_bar(tmp_pa
     cfg = preset("default").with_seed(312)
     index = pipeline.state_names(cfg).index("herald_4")
     rho = pipeline._build_states(cfg)["herald_4"]
-    seed = pipeline._stage_seed(312, "sample", index)
+    seed = pipeline._subseed(312, 1, index)
     ds = pipeline.synth_dataset(rho, cfg.plan, seed, source_id="herald_4")
     pipeline.save_dataset(ds, tmp_path / "herald_4.csv")
     rho_hat, _ = pipeline.mle_reconstruct(pipeline.load_dataset(tmp_path / "herald_4.csv"), cfg.mle)
@@ -254,7 +254,11 @@ def test_analyze_summary_contents(finished_run):
     block = summary["states"]["herald_1"]
     assert 0.9 < block["fidelity"] <= 1.0
     assert block["origin_wigner"]["sigma"] >= 0.0
-    assert summary["count_rates"][0]["n"] == 0
+    # the count rates live in rates.csv alone, one row per state
+    assert "count_rates" not in summary
+    rates = (out / "rates.csv").read_text(encoding="ascii").splitlines()
+    assert [line.split(",")[0] for line in rates[1:]] == ["input", "herald_0", "herald_1"]
+    assert float(rates[2].split(",")[3]) > 0.0
     # the coherence read-out is a property of the state, not of the [grids]
     # axis (81 points here), so it is the quantity bootstrap's sigma spreads
     for name, block in summary["states"].items():
@@ -473,6 +477,56 @@ def test_report_rejects_rates_without_wigner_minima(tmp_path):
     rates.write_text("\n".join(rows) + "\n")
     with pytest.raises(SchemaError, match="wigner_min"):
         pipeline.report(cfg, out)
+
+
+@pytest.fixture(scope="module")
+def four_photon_run(tmp_path_factory):
+    """A finished light run up to herald_4, where report checks the count rates."""
+    out = tmp_path_factory.mktemp("four")
+    cfg = light_config(experiment=ExperimentParams(herald_n=4, idler_cutoff=8))
+    run_all(cfg, out)
+    return cfg, out
+
+
+def edit_rates(done, out, edits: dict) -> None:
+    """Copy the run `done` to `out` and set rates.csv's (state, column) cells to
+    the given texts."""
+    shutil.copytree(done, out)
+    path = out / "rates.csv"
+    rows = [line.split(",") for line in path.read_text(encoding="ascii").splitlines()]
+    for (state, column), text in edits.items():
+        row = next(row for row in rows if row[0] == state)
+        row[rows[0].index(column)] = text
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def test_report_reads_count_rates_from_rates_csv(four_photon_run, tmp_path):
+    cfg, done = four_photon_run
+    out = tmp_path / "run"
+    edit_rates(done, out, {("herald_3", "rate_cps"): "200.0", ("herald_4", "rate_cps"): "1.5"})
+    payload, _ = pipeline.report(cfg, out)
+    check = next(c for c in payload["checks"] if c["check"] == "count_rates")
+    assert check["passed"]
+    assert check["detail"].startswith("rate(3)=200.0 cps vs 200.0, rate(4)=1.50 cps vs 1.5,")
+
+
+@pytest.mark.parametrize(
+    "state, column, text, message",
+    [
+        ("herald_4", "rate_cps", "x", "line 7: unreadable rate_cps in rates.csv"),
+        ("herald_2", "wigner_min", "", "line 5: unreadable wigner_min in rates.csv"),
+        ("herald_4", "rate_cps", "1.5\u00e9", "rates.csv is not ASCII text"),
+    ],
+)
+def test_report_names_an_unreadable_rates_cell(
+    four_photon_run, tmp_path, capsys, state, column, text, message
+):
+    _, done = four_photon_run
+    out = tmp_path / "run"
+    edit_rates(done, out, {(state, column): text})
+    argv = ["report", "--config", str(out / "config.ini"), "--out", str(out)]
+    assert cli_main(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_single_phase_warning_reaches_report(tmp_path):
